@@ -6,6 +6,11 @@ a JSON manifest echoing the full configuration; re-running with a
 manifest's config reproduces the CSV byte-for-byte (the timestamp is the
 only field that changes).
 
+Every subcommand is one entry of ``COMMANDS``: its handler, its config
+defaults, its flags and, for row-shaped output, its column schema.  The
+schema alone drives the CSV header and rows and the ``--format json``
+records.
+
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal invariant
 violation.
 """
@@ -18,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .generators import POSITIVE, SYMMETRIC, make_family
@@ -36,9 +42,12 @@ class ConfigError(ValueError):
     pass
 
 
+FLOAT = "%.17g"     # round-trippable decimal rendering of a float
+
+
 def fmt(x: float) -> str:
     """Round-trippable decimal rendering of a float."""
-    return format(float(x), ".17g")
+    return FLOAT % float(x)
 
 
 def parse_lengths(text: str):
@@ -76,8 +85,7 @@ def _torsion_record(sample):
         betti = h.betti
     else:
         betti = 1
-    return (sample.word.length, math.log(t.value) if t.value > 1 else 0.0,
-            betti, t.singular)
+    return (math.log(t.value) if t.value > 1 else 0.0, betti, t.singular)
 
 
 class _ModpRecord:
@@ -85,8 +93,7 @@ class _ModpRecord:
         self.primes = tuple(primes)
 
     def __call__(self, sample):
-        return (sample.word.length,
-                tuple(fp_rank(sample.product, p) for p in self.primes))
+        return tuple(fp_rank(sample.product, p) for p in self.primes)
 
 
 class _HeegaardRecord:
@@ -96,65 +103,67 @@ class _HeegaardRecord:
     def __call__(self, sample):
         h = heegaard_homology(sample.product, self.genus)
         t = h.torsion_order
-        return (sample.word.length, math.log(t) if t > 1 else 0.0,
-                h.betti, complexity_lower_bound(h))
+        return (math.log(t) if t > 1 else 0.0, h.betti,
+                complexity_lower_bound(h))
 
 
-# --- manifest / file plumbing ------------------------------------------------
+# --- column schemas: (name, CSV format) per column --------------------------
 
-def _manifest(command, config, extra):
-    doc = {
-        "artifact": "symwalk",
-        "version": __version__,
-        "command": command,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config,
-    }
-    doc.update(extra)
-    return doc
-
-
-def _write_outputs(out_dir, stem, csv_text, manifest, records_json=None,
-                   fmt_kind="csv"):
-    os.makedirs(out_dir, exist_ok=True)
-    if fmt_kind == "csv":
-        data_path = os.path.join(out_dir, stem + ".csv")
-        with open(data_path, "w") as fh:
-            fh.write(csv_text)
-    else:
-        data_path = os.path.join(out_dir, stem + ".json")
-        with open(data_path, "w") as fh:
-            json.dump(records_json, fh, indent=2)
-            fh.write("\n")
-    manifest_path = os.path.join(out_dir, stem + "_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return data_path, manifest_path
+_KEY = (("length", "%d"), ("sample_index", "%d"))
+TORSION_COLUMNS = _KEY + (("log_torsion", FLOAT), ("betti", "%d"),
+                          ("singular", "%d"))
+MODP_COLUMNS = _KEY + (("p", "%d"), ("fp_rank", "%d"))
+HEEGAARD_COLUMNS = _KEY + (("log_h1", FLOAT), ("betti", "%d"),
+                           ("complexity_lower_bound", FLOAT))
+LYAPUNOV_COLUMNS = (("exponent_index", "%d"), ("value", FLOAT),
+                    ("standard_error", FLOAT))
+PUNCTURED_COLUMNS = (("length", "%d"), ("mean_longest_run", FLOAT))
 
 
-def _summaries_by_length(rows, value_index):
-    by_len = {}
+def render(columns, rows, fmt_kind="csv") -> str:
+    """The CSV text, or the JSON list of records, of ``rows`` (tuples in
+    column order) under a column schema."""
+    names = [name for name, _ in columns]
+    if fmt_kind == "json":
+        return _json([dict(zip(names, row)) for row in rows])
+    line = ",".join(f for _, f in columns) + "\n"
+    return ",".join(names) + "\n" + "".join(line % row for row in rows)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _column_by_length(rows, columns, name):
+    """The values of column ``name`` grouped by word length (column 0)."""
+    i = [c for c, _ in columns].index(name)
+    groups = {}
     for row in rows:
-        by_len.setdefault(row[0], []).append(row[value_index])
-    out = {}
-    for length in sorted(by_len):
-        s = summarize(by_len[length])
-        out[str(length)] = {"count": s.count, "mean": s.mean,
-                            "variance": s.variance}
-    return out
+        groups.setdefault(row[0], []).append(row[i])
+    return groups
 
 
-def _mean_fit(summaries):
-    if len(summaries) < 2:
-        return None
-    xs = [int(k) for k in summaries]
-    ys = [summaries[k]["mean"] for k in summaries]
-    f = linear_fit(xs, ys)
-    return {"slope": f.slope, "intercept": f.intercept, "r_squared": f.r_squared}
+def _length_summaries(groups):
+    """Manifest ``per_length`` summaries and the ``fit`` of their means
+    against length."""
+    lengths = sorted(groups)
+    per_length = {}
+    for length in lengths:
+        s = summarize(groups[length])
+        per_length[str(length)] = {"count": s.count, "mean": s.mean,
+                                   "variance": s.variance}
+    fit = None
+    if len(lengths) >= 2:
+        fit = asdict(linear_fit(lengths, [per_length[str(n)]["mean"]
+                                          for n in lengths]))
+    return {"per_length": per_length, "fit": fit}
 
 
 # --- subcommands --------------------------------------------------------------
+#
+# A handler takes the merged config and returns (data, manifest fields).
+# For a command with a column schema, data is the list of rows; otherwise
+# it is the pair (CSV text, JSON document).
 
 def _batch_config(cfg) -> BatchConfig:
     try:
@@ -170,25 +179,6 @@ def _batch_config(cfg) -> BatchConfig:
         raise ConfigError("invalid batch config: %s" % exc)
 
 
-def cmd_torsion_stats(cfg, out_dir, fmt_kind="csv"):
-    batch = _batch_config(cfg)
-    rows = list(run_batch_indexed(batch, _torsion_record))
-    lines = ["length,sample_index,log_torsion,betti,singular"]
-    for (length, idx), (length_, log_t, betti, singular) in rows:
-        lines.append("%d,%d,%s,%d,%d" % (length, idx, fmt(log_t), betti,
-                                         int(singular)))
-    csv_text = "\n".join(lines) + "\n"
-    summaries = _summaries_by_length(
-        [(length, None, log_t) for (length, _), (_, log_t, _, _) in rows], 2)
-    manifest = _manifest("torsion-stats", cfg,
-                         {"per_length": summaries, "fit": _mean_fit(summaries)})
-    records = [{"length": length, "sample_index": idx, "log_torsion": log_t,
-                "betti": betti, "singular": singular}
-               for (length, idx), (_, log_t, betti, singular) in rows]
-    return _write_outputs(out_dir, "torsion_stats", csv_text, manifest,
-                          records, fmt_kind)
-
-
 def run_batch_indexed(batch: BatchConfig, per_sample):
     """run_batch plus the (length, sample_index) key for each record."""
     keys = [(length, j) for length in batch.length_values()
@@ -196,92 +186,70 @@ def run_batch_indexed(batch: BatchConfig, per_sample):
     return zip(keys, run_batch(batch, per_sample, threads=threads_from_env()))
 
 
-def cmd_modp_rank(cfg, out_dir, fmt_kind="csv"):
+def cmd_torsion_stats(cfg):
+    rows = [key + record for key, record in
+            run_batch_indexed(_batch_config(cfg), _torsion_record)]
+    return rows, _length_summaries(
+        _column_by_length(rows, TORSION_COLUMNS, "log_torsion"))
+
+
+def cmd_modp_rank(cfg):
     primes = [int(p) for p in cfg.get("primes", [])]
     if not primes:
         raise ConfigError("modp-rank needs at least one prime")
     for p in primes:
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if not prime:
             raise ConfigError("%d is not prime" % p)
     batch = _batch_config(cfg)
-    rows = list(run_batch_indexed(batch, _ModpRecord(primes)))
-    lines = ["length,sample_index,p,fp_rank"]
-    for (length, idx), (_, ranks) in rows:
-        for p, r in zip(primes, ranks):
-            lines.append("%d,%d,%d,%d" % (length, idx, p, r))
-    csv_text = "\n".join(lines) + "\n"
+    rows = [key + (p, r)
+            for key, ranks in run_batch_indexed(batch, _ModpRecord(primes))
+            for p, r in zip(primes, ranks)]
 
     # empirical distribution at the largest length, with the exact oracle
     # alongside when the group is small enough to enumerate
     top = max(batch.length_values())
-    fam_dim = make_family(batch.family_name, batch.family_param).dim
-    g = fam_dim // 2
+    g = make_family(batch.family_name, batch.family_param).dim // 2
     tables = {}
-    for i, p in enumerate(primes):
-        ranks = [r[1][i] for (length, _), r in rows if length == top]
-        predicted = {}
+    for p in primes:
+        ranks = [r for length, _, q, r in rows if length == top and q == p]
         try:
-            predicted = {str(k): float(v)
-                         for k, v in exhaustive_sp2_oracle(p, g).items()}
-        except (ValueError, NotPrimeError):
-            predicted = {}
-        table = empirical_rank_table(p, ranks)
-        entry = {"empirical": {str(k): v for k, v in table.frequencies.items()},
-                 "predicted": predicted}
-        if predicted:
-            keys = set(entry["empirical"]) | set(predicted)
-            entry["total_variation"] = 0.5 * sum(
-                abs(entry["empirical"].get(k, 0.0) - predicted.get(k, 0.0))
-                for k in keys)
+            oracle = exhaustive_sp2_oracle(p, g)
+        except ValueError:
+            oracle = {}
+        table = empirical_rank_table(p, ranks, oracle)
+        entry = {"empirical": {str(k): v
+                               for k, v in table.frequencies.items()},
+                 "predicted": {str(k): float(v) for k, v in oracle.items()}}
+        if oracle:
+            entry["total_variation"] = table.total_variation()
         tables[str(p)] = entry
-    manifest = _manifest("modp-rank", cfg,
-                         {"rank_tables_at_length": top, "rank_tables": tables})
-    records = [{"length": length, "sample_index": idx, "p": p, "fp_rank": r}
-               for (length, idx), (_, ranks) in rows
-               for p, r in zip(primes, ranks)]
-    return _write_outputs(out_dir, "modp_rank", csv_text, manifest,
-                          records, fmt_kind)
+    return rows, {"rank_tables_at_length": top, "rank_tables": tables}
 
 
-def cmd_heegaard(cfg, out_dir, fmt_kind="csv"):
+def cmd_heegaard(cfg):
     batch = _batch_config(cfg)
     fam = make_family(batch.family_name, batch.family_param)
     if fam.form != "J":
         raise ConfigError("heegaard needs a symplectic family")
     g = fam.dim // 2
-    rows = list(run_batch_indexed(batch, _HeegaardRecord(g)))
-    lines = ["length,sample_index,log_h1,betti,complexity_lower_bound"]
-    for (length, idx), (_, log_h1, betti, comp) in rows:
-        lines.append("%d,%d,%s,%d,%s" % (length, idx, fmt(log_h1), betti,
-                                         fmt(comp)))
-    csv_text = "\n".join(lines) + "\n"
-    summaries = _summaries_by_length(
-        [(length, None, log_h1) for (length, _), (_, log_h1, _, _) in rows], 2)
+    rows = [key + record for key, record in
+            run_batch_indexed(batch, _HeegaardRecord(g))]
+    groups = _column_by_length(rows, HEEGAARD_COLUMNS, "log_h1")
     top = max(batch.length_values())
-    top_samples = [log_h1 for (length, _), (_, log_h1, _, _) in rows
-                   if length == top]
+    top_samples = groups.get(top, [])
     diagnostics = None
     if len(top_samples) >= 30:
-        d = clt_diagnostics(top_samples)
-        diagnostics = {"mean": d.mean, "variance": d.variance,
-                       "skewness": d.skewness,
-                       "excess_kurtosis": d.excess_kurtosis,
-                       "ks_statistic_vs_normal": d.ks_statistic_vs_normal}
-    manifest = _manifest("heegaard", cfg, {
-        "genus": g,
-        "per_length": summaries,
-        "fit": _mean_fit(summaries),
-        "clt_diagnostics_at_length": top,
-        "clt_diagnostics": diagnostics,
-    })
-    records = [{"length": length, "sample_index": idx, "log_h1": log_h1,
-                "betti": betti, "complexity_lower_bound": comp}
-               for (length, idx), (_, log_h1, betti, comp) in rows]
-    return _write_outputs(out_dir, "heegaard", csv_text, manifest,
-                          records, fmt_kind)
+        diagnostics = asdict(clt_diagnostics(top_samples))
+    return rows, dict(_length_summaries(groups), genus=g,
+                      clt_diagnostics_at_length=top,
+                      clt_diagnostics=diagnostics)
 
 
-def cmd_lyapunov(cfg, out_dir, fmt_kind="csv"):
+def cmd_lyapunov(cfg):
     try:
         fam = make_family(cfg["family"], int(cfg["param"]))
         steps = int(cfg.get("steps", 2000))
@@ -290,53 +258,41 @@ def cmd_lyapunov(cfg, out_dir, fmt_kind="csv"):
     except (KeyError, ValueError) as exc:
         raise ConfigError("invalid lyapunov config: %s" % exc)
     est = estimate_exponents(fam, steps, trials, seed)
-    lines = ["exponent_index,value,standard_error"]
-    for i, (e, se) in enumerate(zip(est.exponents, est.standard_error)):
-        lines.append("%d,%s,%s" % (i, fmt(e), fmt(se)))
-    csv_text = "\n".join(lines) + "\n"
-    manifest = _manifest("lyapunov", cfg, {
-        "exponents": list(est.exponents),
-        "standard_error": list(est.standard_error),
-        "positive_sum": est.positive_sum,
-        "trials": trials,
-        "steps_per_trial": steps,
-    })
-    records = [{"exponent_index": i, "value": e, "standard_error": se}
-               for i, (e, se) in enumerate(zip(est.exponents,
-                                               est.standard_error))]
-    return _write_outputs(out_dir, "lyapunov", csv_text, manifest,
-                          records, fmt_kind)
+    rows = [(i, e, se) for i, (e, se) in
+            enumerate(zip(est.exponents, est.standard_error))]
+    return rows, {"exponents": list(est.exponents),
+                  "standard_error": list(est.standard_error),
+                  "positive_sum": est.positive_sum,
+                  "trials": trials,
+                  "steps_per_trial": steps}
 
 
-def cmd_prescribe(cfg, out_dir, fmt_kind="csv"):
+def cmd_prescribe(cfg):
+    if "chain" not in cfg:
+        raise ConfigError("prescribe needs a divisor chain")
     try:
         chain = DivisorChain(tuple(int(x) for x in cfg["chain"]))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("invalid chain: %s" % exc)
     try:
         m = prescribe_symplectic(chain)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    ok = verify_prescription(m, chain)
-    lines = ["row," + ",".join("c%d" % j for j in range(m.dim))]
-    for i, row in enumerate(m.rows):
-        lines.append("%d," % i + ",".join(str(x) for x in row))
-    csv_text = "\n".join(lines) + "\n"
-    manifest = _manifest("prescribe", cfg, {
-        "matrix": m.to_lists(),
-        "verification": ok,
+    if not verify_prescription(m, chain):
+        raise AssertionError("prescription verification failed")
+    columns = (("row", "%d"),) + tuple(("c%d" % j, "%d")
+                                       for j in range(m.dim))
+    csv_text = render(columns, [(i,) + row for i, row in enumerate(m.rows)])
+    matrix = m.to_lists()
+    return (csv_text, {"matrix": matrix, "verification": True}), {
+        "matrix": matrix,
+        "verification": True,
         "snf_of_m_minus_i": list(smith_normal_form(
             m - identity(m.dim)).divisors),
-    })
-    records = {"matrix": m.to_lists(), "verification": ok}
-    paths = _write_outputs(out_dir, "prescribe", csv_text, manifest,
-                           records, fmt_kind)
-    if not ok:
-        raise AssertionError("prescription verification failed")
-    return paths
+    }
 
 
-def cmd_punctured(cfg, out_dir, fmt_kind="csv"):
+def cmd_punctured(cfg):
     try:
         alphabet = int(cfg.get("alphabet", 2))
         lengths = [int(x) for x in cfg["lengths"]]
@@ -345,19 +301,8 @@ def cmd_punctured(cfg, out_dir, fmt_kind="csv"):
     except (KeyError, ValueError) as exc:
         raise ConfigError("invalid punctured config: %s" % exc)
     result = run_scaling_experiment(alphabet, lengths, samples, seed)
-    lines = ["length,mean_longest_run"]
-    for n, mean in result.rows:
-        lines.append("%d,%s" % (n, fmt(mean)))
-    csv_text = "\n".join(lines) + "\n"
-    fit = None
-    if result.fit is not None:
-        fit = {"slope": result.fit.slope, "intercept": result.fit.intercept,
-               "r_squared": result.fit.r_squared}
-    manifest = _manifest("punctured", cfg, {"fit_vs_log_length": fit})
-    records = [{"length": n, "mean_longest_run": mean}
-               for n, mean in result.rows]
-    return _write_outputs(out_dir, "punctured", csv_text, manifest,
-                          records, fmt_kind)
+    fit = asdict(result.fit) if result.fit is not None else None
+    return list(result.rows), {"fit_vs_log_length": fit}
 
 
 def read_matrix_file(path: str) -> IntMatrix:
@@ -376,35 +321,98 @@ def read_matrix_file(path: str) -> IntMatrix:
     return IntMatrix(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
-def cmd_snf(cfg, out_dir, fmt_kind="csv"):
-    m = read_matrix_file(cfg["matrix_file"])
-    chain = smith_normal_form(m)
-    csv_text = "divisor\n" + "".join("%d\n" % d for d in chain.divisors)
-    manifest = _manifest("snf", {"matrix_file": cfg["matrix_file"]},
-                         {"divisors": list(chain.divisors)})
-    records = {"divisors": list(chain.divisors)}
-    return _write_outputs(out_dir, "snf", csv_text, manifest, records,
-                          fmt_kind)
+def cmd_snf(cfg):
+    if "matrix_file" not in cfg:
+        raise ConfigError("snf needs a matrix file")
+    divisors = list(smith_normal_form(
+        read_matrix_file(cfg["matrix_file"])).divisors)
+    csv_text = render((("divisor", "%d"),), [(d,) for d in divisors])
+    # the manifest echoes only the matrix file, not the whole config
+    return (csv_text, {"divisors": divisors}), {
+        "config": {"matrix_file": cfg["matrix_file"]}, "divisors": divisors}
 
 
-# --- argument parsing ----------------------------------------------------------
+# --- the command table ----------------------------------------------------------
 
-_BATCH_COMMANDS = {
-    "torsion-stats": cmd_torsion_stats,
-    "modp-rank": cmd_modp_rank,
-    "heegaard": cmd_heegaard,
+def _ints(text):
+    return [int(x) for x in text.split(",")]
+
+
+def _flag(names, key, convert=None, **options):
+    """A flag: its option strings (or one positional name), the config key
+    it overrides, and how its text becomes that key's value."""
+    return names, key, convert, options
+
+
+_FAMILY_FLAGS = (
+    _flag(("--family",), "family"),
+    _flag(("--genus", "--n"), "param", type=int),
+)
+_BATCH_FLAGS = _FAMILY_FLAGS + (
+    _flag(("--lengths",), "lengths", lambda t: list(parse_lengths(t)),
+          help="start:end:step"),
+    _flag(("--samples",), "samples", type=int),
+    _flag(("--seed",), "seed", type=int),
+    _flag(("--mode",), "mode",
+          lambda t: SYMMETRIC if t == "symmetric" else POSITIVE,
+          choices=[POSITIVE.split("-")[0], "symmetric"]),
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    handler: object
+    defaults: dict
+    flags: tuple
+    columns: tuple = None       # None: the handler renders its own output
+
+
+COMMANDS = {
+    "torsion-stats": Command(
+        cmd_torsion_stats,
+        {"family": "humphries", "param": 2, "lengths": [100, 500, 50],
+         "samples": 200, "seed": 1, "mode": POSITIVE},
+        _BATCH_FLAGS, TORSION_COLUMNS),
+    "modp-rank": Command(
+        cmd_modp_rank,
+        {"family": "humphries", "param": 2, "lengths": [500, 500, 1],
+         "samples": 2000, "seed": 1, "mode": SYMMETRIC, "primes": [2]},
+        _BATCH_FLAGS + (_flag(("--primes",), "primes", _ints,
+                              help="comma-separated primes"),),
+        MODP_COLUMNS),
+    "heegaard": Command(
+        cmd_heegaard,
+        {"family": "humphries", "param": 2, "lengths": [100, 500, 100],
+         "samples": 300, "seed": 1, "mode": POSITIVE},
+        _BATCH_FLAGS, HEEGAARD_COLUMNS),
+    "lyapunov": Command(
+        cmd_lyapunov,
+        {"family": "humphries", "param": 2, "steps": 2000, "trials": 100,
+         "seed": 1},
+        _FAMILY_FLAGS + (_flag(("--steps",), "steps", type=int),
+                         _flag(("--trials",), "trials", type=int),
+                         _flag(("--seed",), "seed", type=int)),
+        LYAPUNOV_COLUMNS),
+    "prescribe": Command(
+        cmd_prescribe, {},
+        (_flag(("chain",), "chain", _ints, nargs="?",
+               help="comma-separated divisor chain, e.g. 2,6"),)),
+    "punctured": Command(
+        cmd_punctured,
+        {"alphabet": 2, "lengths": [2 ** k for k in range(10, 17)],
+         "samples": 30, "seed": 1},
+        (_flag(("--alphabet",), "alphabet", type=int),
+         _flag(("--lengths",), "lengths", _ints,
+               help="comma-separated word lengths"),
+         _flag(("--samples",), "samples", type=int),
+         _flag(("--seed",), "seed", type=int)),
+        PUNCTURED_COLUMNS),
+    "snf": Command(
+        cmd_snf, {}, (_flag(("matrix_file",), "matrix_file", nargs="?"),)),
 }
 
 
-def _add_batch_flags(sp):
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--genus", "--n", dest="param", type=int, default=None)
-    sp.add_argument("--lengths", default=None, help="start:end:step")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--mode", choices=[POSITIVE.split("-")[0], "symmetric"],
-                    default=None)
-
+# --- argument parsing and the run ------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -414,49 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lyapunov spectra, prescribed homology.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name in _BATCH_COMMANDS:
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
-        _add_batch_flags(sp)
-        if name == "modp-rank":
-            sp.add_argument("--primes", default=None,
-                            help="comma-separated primes")
-        _add_common_output_flags(sp)
-
-    sp = sub.add_parser("lyapunov")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--genus", "--n", dest="param", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    _add_common_output_flags(sp)
-
-    sp = sub.add_parser("prescribe")
-    sp.add_argument("chain", nargs="?", default=None,
-                    help="comma-separated divisor chain, e.g. 2,6")
-    _add_common_output_flags(sp)
-
-    sp = sub.add_parser("punctured")
-    sp.add_argument("--alphabet", type=int, default=None)
-    sp.add_argument("--lengths", default=None,
-                    help="comma-separated word lengths")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    _add_common_output_flags(sp)
-
-    sp = sub.add_parser("snf")
-    sp.add_argument("matrix_file", nargs="?", default=None)
-    _add_common_output_flags(sp)
-
+        for names, key, _, options in command.flags:
+            if names[0].startswith("-"):
+                options = dict(options, dest=key)
+            sp.add_argument(*names, default=None, **options)
+        sp.add_argument("--config", default=None,
+                        help="JSON config file (or an emitted manifest)")
+        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--format", dest="fmt", choices=["csv", "json"],
+                        default="csv")
     return ap
-
-
-def _add_common_output_flags(sp):
-    sp.add_argument("--config", default=None,
-                    help="JSON config file (or an emitted manifest)")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"],
-                    default="csv")
 
 
 def _load_config(path):
@@ -467,85 +444,60 @@ def _load_config(path):
     return doc
 
 
-_DEFAULTS = {
-    "torsion-stats": {"family": "humphries", "param": 2,
-                      "lengths": [100, 500, 50], "samples": 200, "seed": 1,
-                      "mode": POSITIVE},
-    "modp-rank": {"family": "humphries", "param": 2,
-                  "lengths": [500, 500, 1], "samples": 2000, "seed": 1,
-                  "mode": SYMMETRIC, "primes": [2]},
-    "heegaard": {"family": "humphries", "param": 2,
-                 "lengths": [100, 500, 100], "samples": 300, "seed": 1,
-                 "mode": POSITIVE},
-    "lyapunov": {"family": "humphries", "param": 2, "steps": 2000,
-                 "trials": 100, "seed": 1},
-    "prescribe": {},
-    "punctured": {"alphabet": 2,
-                  "lengths": [2 ** k for k in range(10, 17)],
-                  "samples": 30, "seed": 1},
-    "snf": {},
-}
-
-
 def _merge_config(args) -> dict:
-    cfg = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    """Defaults, then the --config file, then the flags given."""
+    command = COMMANDS[args.command]
+    cfg = dict(command.defaults)
+    if args.config:
         cfg.update(_load_config(args.config))
-    # flags override file fields
-    if getattr(args, "family", None) is not None:
-        cfg["family"] = args.family
-    if getattr(args, "param", None) is not None:
-        cfg["param"] = args.param
-    if getattr(args, "samples", None) is not None:
-        cfg["samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        cfg["mode"] = SYMMETRIC if args.mode == "symmetric" else POSITIVE
-    if getattr(args, "steps", None) is not None:
-        cfg["steps"] = args.steps
-    if getattr(args, "trials", None) is not None:
-        cfg["trials"] = args.trials
-    if getattr(args, "alphabet", None) is not None:
-        cfg["alphabet"] = args.alphabet
-    if getattr(args, "lengths", None) is not None:
-        if args.command == "punctured":
-            cfg["lengths"] = [int(x) for x in args.lengths.split(",")]
-        else:
-            cfg["lengths"] = list(parse_lengths(args.lengths))
-    if getattr(args, "primes", None) is not None:
-        cfg["primes"] = [int(p) for p in args.primes.split(",")]
-    if getattr(args, "chain", None) is not None:
-        cfg["chain"] = [int(x) for x in args.chain.split(",")]
-    if getattr(args, "matrix_file", None) is not None:
-        cfg["matrix_file"] = args.matrix_file
+    for _, key, convert, _ in command.flags:
+        value = getattr(args, key)
+        if value is not None:
+            cfg[key] = convert(value) if convert else value
     return cfg
 
 
-_COMMANDS = dict(_BATCH_COMMANDS)
-_COMMANDS.update({
-    "lyapunov": cmd_lyapunov,
-    "prescribe": cmd_prescribe,
-    "punctured": cmd_punctured,
-    "snf": cmd_snf,
-})
+def _manifest(command, config, extra):
+    doc = {
+        "artifact": "symwalk",
+        "version": __version__,
+        "command": command,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "config": config,
+    }
+    doc.update(extra)
+    return doc
+
+
+def run_command(name, cfg, out_dir, fmt_kind="csv"):
+    """Run one subcommand and write its data file and manifest; returns
+    their paths."""
+    command = COMMANDS[name]
+    data, extra = command.handler(cfg)
+    if command.columns is not None:
+        text = render(command.columns, data, fmt_kind)
+    else:
+        csv_text, doc = data
+        text = csv_text if fmt_kind == "csv" else _json(doc)
+    manifest = _manifest(name, cfg, extra)
+    stem = os.path.join(out_dir, name.replace("-", "_"))
+    os.makedirs(out_dir, exist_ok=True)
+    data_path = stem + "." + fmt_kind
+    manifest_path = stem + "_manifest.json"
+    with open(data_path, "w") as fh:
+        fh.write(text)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return data_path, manifest_path
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        if args.command == "prescribe" and "chain" not in cfg:
-            raise ConfigError("prescribe needs a divisor chain")
-        if args.command == "snf" and "matrix_file" not in cfg:
-            raise ConfigError("snf needs a matrix file")
-        data_path, manifest_path = _COMMANDS[args.command](
-            cfg, args.out, args.fmt)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except NotPrimeError as exc:
+        data_path, manifest_path = run_command(
+            args.command, _merge_config(args), args.out, args.fmt)
+    except (ConfigError, NotPrimeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -113,31 +113,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_cofactor(m: IntMatrix) -> int:
-    """Determinant by cofactor expansion.  Exponential; cross-check oracle
-    for small dimensions only."""
-    rows = m.rows
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-
-    def expand(rowset, col):
-        if col == n:
-            return 1
-        total = 0
-        sign = 1
-        for pos, i in enumerate(rowset):
-            c = rows[i][col]
-            if c:
-                total += sign * c * expand(rowset[:pos] + rowset[pos + 1:], col + 1)
-            sign = -sign
-        return total
-
-    return expand(tuple(range(n)), 0)
-
-
 def inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix invertible over the integers.
 
@@ -165,19 +140,39 @@ def inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson & Webster, Math. Comp. 86 (2017), psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division up to sqrt(p); intended for moduli < 2**64."""
+    """Deterministic Miller-Rabin; exact for p < MR_EXACT_BELOW, and a
+    ValueError above it."""
     if p < 2:
         return False
     if p < 4:
         return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= MR_EXACT_BELOW:
+        raise ValueError("primality of %d is only decided below %d"
+                         % (p, MR_EXACT_BELOW))
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

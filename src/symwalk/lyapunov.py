@@ -78,8 +78,16 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
     if trials < 1:
         raise ValueError("need trials >= 1")
     gens = [np.array(m.to_lists(), dtype=float) for m in family.matrices]
-    per_trial = np.array([_one_trial(gens, steps, derive_seed(seed, steps, t))
-                          for t in range(trials)])
+    per_trial = []
+    for t in range(trials):
+        trial_seed = derive_seed(seed, steps, t)
+        logs = _one_trial(gens, steps, trial_seed)
+        if not np.isfinite(logs).all():
+            raise FloatingPointError(
+                "lyapunov trial %d (seed %d) has non-finite log stretches; "
+                "the generators overflow double precision" % (t, trial_seed))
+        per_trial.append(logs)
+    per_trial = np.array(per_trial)
     mean = per_trial.mean(axis=0)
     if trials > 1:
         stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)

@@ -66,6 +66,31 @@ def _reduce(a):
     return [pivot] + _reduce(sub)
 
 
+def det_cofactor(m: IntMatrix) -> int:
+    """Determinant by cofactor expansion.  Exponential; cross-check oracle
+    for small dimensions only."""
+    rows = m.rows
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+
+    def expand(rowset, col):
+        if col == n:
+            return 1
+        total = 0
+        sign = 1
+        for pos, i in enumerate(rowset):
+            c = rows[i][col]
+            if c:
+                total += sign * c * expand(rowset[:pos] + rowset[pos + 1:], col + 1)
+            sign = -sign
+        return total
+
+    return expand(tuple(range(n)), 0)
+
+
 def minor_gcd_divisors(m: IntMatrix):
     """Elementary divisors via gcds of k x k minors: d_k = g_k / g_{k-1}.
     Exponential; only for small matrices."""

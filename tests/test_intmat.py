@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_int_matrix
-from symwalk.intmat import (DimensionError, IntMatrix, NotPrimeError,
-                            SymplecticForm, det, det_cofactor, identity,
+from oracles import det_cofactor, random_int_matrix
+from symwalk.intmat import (MR_EXACT_BELOW, DimensionError, IntMatrix,
+                            NotPrimeError, SymplecticForm, det, identity,
                             inverse, is_prime, is_symplectic, mat_mul, mod_p)
 
 
@@ -65,6 +65,29 @@ def test_mod_p_rejects_composite():
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 4) if is_prime(n)] == \
+        [n for n in range(10 ** 4) if _trial_division(n)]
+
+
+def test_is_prime_large_inputs():
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 64 - 59)
+    # a Carmichael number and strong pseudoprimes to the bases 2..7 and 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_exact_bound():
+    assert not is_prime(MR_EXACT_BELOW - 1)      # even, so decided
+    with pytest.raises(ValueError, match=str(MR_EXACT_BELOW)):
+        is_prime(MR_EXACT_BELOW)
 
 
 def test_symplectic_form_invariants():

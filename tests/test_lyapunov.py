@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from symwalk.generators import custom_family, humphries_symplectic
@@ -23,6 +24,15 @@ def test_single_hyperbolic_matrix_gives_log_eigenvalue():
     top = math.log((3 + math.sqrt(5)) / 2)
     assert est.exponents[0] == pytest.approx(top, abs=5e-3)
     assert est.exponents[1] == pytest.approx(-top, abs=5e-3)
+
+
+def test_overflowing_family_fails_loudly():
+    big = 10 ** 80
+    fam = custom_family([IntMatrix(((1, big), (0, 1))),
+                         IntMatrix(((1, 0), (big, 1)))])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="trial 0 \\(seed "):
+        estimate_exponents(fam, 100, 2, 1)
 
 
 def test_estimates_are_deterministic():

@@ -165,9 +165,11 @@ def _length_summaries(groups):
 # For a command with a column schema, data is the list of rows; otherwise
 # it is the pair (CSV text, JSON document).
 
-def _batch_config(cfg) -> BatchConfig:
+def _batch_config(cfg):
+    """The batch of a batch subcommand's config and its named family
+    (before any symmetric closure)."""
     try:
-        return BatchConfig(
+        batch = BatchConfig(
             family_name=cfg["family"],
             family_param=int(cfg["param"]),
             lengths=tuple(cfg["lengths"]),
@@ -175,8 +177,10 @@ def _batch_config(cfg) -> BatchConfig:
             master_seed=int(cfg["seed"]),
             mode=cfg.get("mode", POSITIVE),
         )
+        family = make_family(batch.family_name, batch.family_param)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("invalid batch config: %s" % exc)
+    return batch, family
 
 
 def run_batch_indexed(batch: BatchConfig, per_sample):
@@ -187,8 +191,9 @@ def run_batch_indexed(batch: BatchConfig, per_sample):
 
 
 def cmd_torsion_stats(cfg):
+    batch, _ = _batch_config(cfg)
     rows = [key + record for key, record in
-            run_batch_indexed(_batch_config(cfg), _torsion_record)]
+            run_batch_indexed(batch, _torsion_record)]
     return rows, _length_summaries(
         _column_by_length(rows, TORSION_COLUMNS, "log_torsion"))
 
@@ -204,22 +209,25 @@ def cmd_modp_rank(cfg):
             raise ConfigError(str(exc))
         if not prime:
             raise ConfigError("%d is not prime" % p)
-    batch = _batch_config(cfg)
+    batch, fam = _batch_config(cfg)
     rows = [key + (p, r)
             for key, ranks in run_batch_indexed(batch, _ModpRecord(primes))
             for p, r in zip(primes, ranks)]
 
     # empirical distribution at the largest length, with the exact oracle
-    # alongside when the group is small enough to enumerate
+    # alongside when the family is symplectic and the group is small
+    # enough to enumerate
     top = max(batch.length_values())
-    g = make_family(batch.family_name, batch.family_param).dim // 2
+    g = fam.dim // 2
     tables = {}
     for p in primes:
         ranks = [r for length, _, q, r in rows if length == top and q == p]
-        try:
-            oracle = exhaustive_sp2_oracle(p, g)
-        except ValueError:
-            oracle = {}
+        oracle = {}
+        if fam.form == "J":
+            try:
+                oracle = exhaustive_sp2_oracle(p, g)
+            except ValueError:      # no enumerator for this (p, g)
+                pass
         table = empirical_rank_table(p, ranks, oracle)
         entry = {"empirical": {str(k): v
                                for k, v in table.frequencies.items()},
@@ -231,8 +239,7 @@ def cmd_modp_rank(cfg):
 
 
 def cmd_heegaard(cfg):
-    batch = _batch_config(cfg)
-    fam = make_family(batch.family_name, batch.family_param)
+    batch, fam = _batch_config(cfg)
     if fam.form != "J":
         raise ConfigError("heegaard needs a symplectic family")
     g = fam.dim // 2
@@ -257,6 +264,9 @@ def cmd_lyapunov(cfg):
         seed = int(cfg["seed"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("invalid lyapunov config: %s" % exc)
+    if steps < 100 or trials < 1:
+        raise ConfigError("lyapunov needs steps >= 100 and trials >= 1, "
+                          "got steps %d and trials %d" % (steps, trials))
     est = estimate_exponents(fam, steps, trials, seed)
     rows = [(i, e, se) for i, (e, se) in
             enumerate(zip(est.exponents, est.standard_error))]
@@ -335,7 +345,11 @@ def cmd_snf(cfg):
 # --- the command table ----------------------------------------------------------
 
 def _ints(text):
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError("bad integer list %r (want comma-separated "
+                          "integers)" % text)
 
 
 def _flag(names, key, convert=None, **options):

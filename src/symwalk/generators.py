@@ -29,6 +29,11 @@ class GeneratorFamily:
     ``group`` is a display tag like ``Sp(4)`` or ``SL(3)``.  ``form`` records
     which multiple of the standard symplectic form (if any) every member
     preserves: "J", "-J" (members each preserve J or -J), or None.
+
+    ``actions[k]`` is how member k acts on a product from the right: one
+    ``(j, ((i, c), ...))`` per column j where the member differs from the
+    identity, meaning column j of ``P·G`` is the sum of ``c`` times column
+    i of ``P``.
     """
 
     name: str
@@ -36,6 +41,7 @@ class GeneratorFamily:
     matrices: tuple
     mode: str = POSITIVE
     form: str | None = field(default=None)
+    actions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.matrices:
@@ -47,6 +53,8 @@ class GeneratorFamily:
             if det(m) != 1:
                 raise ValueError("generator has determinant != 1")
         object.__setattr__(self, "form", _discover_form(self.matrices))
+        object.__setattr__(self, "actions",
+                           tuple(_column_action(m) for m in self.matrices))
 
     @property
     def dim(self) -> int:
@@ -74,6 +82,19 @@ def _discover_form(matrices) -> str | None:
             continue
         return None
     return "J" if all_plus else "-J"
+
+
+def _column_action(m: IntMatrix) -> tuple:
+    """The columns where ``m`` differs from the identity, each with the
+    nonzero entries that build it; the diagonal entry comes first, because
+    with coefficient 1 it costs no copy."""
+    action = []
+    for j, col in enumerate(zip(*m.rows)):
+        if any(c != (i == j) for i, c in enumerate(col)):
+            terms = sorted(((i, c) for i, c in enumerate(col) if c),
+                           key=lambda term: term[0] != j)
+            action.append((j, tuple(terms)))
+    return tuple(action)
 
 
 def _unit(n: int, i: int, j: int, value: int = 1) -> IntMatrix:
@@ -107,7 +128,7 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
     exists for g >= 2.
     """
     if g < 2:
-        raise ValueError("humphries family needs genus >= 2")
+        raise ValueError("humphries family needs genus >= 2, got %d" % g)
     seen = []
     for m in ([birman_u(g, i) for i in range(1, g + 1)]
               + [birman_z(g, i) for i in range(1, g)]
@@ -132,7 +153,7 @@ def hru5(n: int) -> IntMatrix:
 def hua_reiner(n: int) -> GeneratorFamily:
     """The two Hua-Reiner generators of SL(n, Z)."""
     if n < 2:
-        raise ValueError("hua-reiner family needs n >= 2")
+        raise ValueError("hua-reiner family needs n >= 2, got %d" % n)
     return GeneratorFamily("hua-reiner", "SL(%d)" % n, (hru2(n), hru5(n)))
 
 
@@ -161,7 +182,7 @@ def stanek_dd(n: int) -> IntMatrix:
 def stanek(n: int) -> GeneratorFamily:
     """Stanek generators of Sp(2n, Z); n = 1 falls back to Hua-Reiner SL(2)."""
     if n < 1:
-        raise ValueError("stanek family needs n >= 1")
+        raise ValueError("stanek family needs n >= 1, got %d" % n)
     if n == 1:
         fam = hua_reiner(2)
         return GeneratorFamily("stanek", "Sp(2)", fam.matrices)

@@ -74,9 +74,9 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                        seed: int) -> LyapunovEstimate:
     """Mean per-step log stretches of an evolved orthonormal frame."""
     if steps < 100:
-        raise ValueError("need steps >= 100")
+        raise ValueError("need steps >= 100, got %d" % steps)
     if trials < 1:
-        raise ValueError("need trials >= 1")
+        raise ValueError("need trials >= 1, got %d" % trials)
     gens = [np.array(m.to_lists(), dtype=float) for m in family.matrices]
     per_trial = []
     for t in range(trials):

@@ -5,10 +5,12 @@ derived by mixing (master_seed, word_length, sample_index) through a
 splitmix64-style hash, so the batch is embarrassingly parallel and the
 output stream is a pure function of the config.
 
-Products exploit the shape of the generators: almost all of them are
-either "identity plus a few off-diagonal units" (a transvection-like
-column update, O(dim) per step) or signed permutations (a column shuffle).
-Falling back to dense multiplication is always correct, just slower.
+Products apply each letter through its generator's column action
+(``GeneratorFamily.actions``): the running product is a list of columns,
+and a letter rebuilds only the columns where its generator differs from
+the identity.  A transvection rebuilds one column, a signed permutation
+reorders them, and any other matrix costs one combination per column it
+moves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .generators import (POSITIVE, SYMMETRIC, GeneratorFamily, make_family,
                          symmetric_closure)
-from .intmat import IntMatrix, mat_mul
+from .intmat import IntMatrix
 
 _MASK = (1 << 64) - 1
 
@@ -103,67 +105,31 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     return Word(family, tuple(rng.randrange(k) for _ in range(length)))
 
 
-def _classify(m: IntMatrix):
-    """Classify a generator for the fast product path.
-
-    Returns ("elem", entries) for identity + sparse off-diagonal units,
-    ("perm", mapping) for signed permutations (mapping[j] = (src, sign):
-    column j of P*Q is sign * column src of P), or ("dense", m).
-    """
-    n = m.dim
-    off = [(i, j, m.rows[i][j])
-           for i in range(n) for j in range(n)
-           if i != j and m.rows[i][j] != 0]
-    if all(m.rows[i][i] == 1 for i in range(n)) and len(off) <= n:
-        return ("elem", tuple(off))
-    # signed permutation: exactly one nonzero per row and column, each +-1
-    mapping = [None] * n
-    ok = True
-    for i in range(n):
-        nz = [(j, m.rows[i][j]) for j in range(n) if m.rows[i][j] != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1) or mapping[nz[0][0]] is not None:
-            ok = False
-            break
-        mapping[nz[0][0]] = (i, nz[0][1])
-    if ok and all(x is not None for x in mapping):
-        return ("perm", tuple(mapping))
-    return ("dense", m)
-
-
-_CLASSIFY_CACHE = {}
-
-
-def _classified(family: GeneratorFamily):
-    key = id(family)
-    cached = _CLASSIFY_CACHE.get(key)
-    if cached is None or cached[0] is not family:
-        cached = (family, [_classify(m) for m in family.matrices])
-        _CLASSIFY_CACHE[key] = cached
-    return cached[1]
-
-
 def word_product(word: Word) -> IntMatrix:
     """Exact left-to-right product of the lettered generators."""
-    fam = word.family
-    kinds = _classified(fam)
-    n = fam.dim
-    rows = [list(r) for r in fam.matrices[word.letters[0]].rows]
+    actions = word.family.actions
+    cols = list(zip(*word.family.matrices[word.letters[0]].rows))
     for letter in word.letters[1:]:
-        kind, data = kinds[letter]
-        if kind == "elem":
-            for row in rows:
-                updates = [(j, row[i] * c) for i, j, c in data if row[i]]
-                for j, d in updates:
-                    row[j] += d
-        elif kind == "perm":
-            for r in range(n):
-                row = rows[r]
-                rows[r] = [row[src] if sign == 1 else -row[src]
-                           for src, sign in data]
-        else:
-            prod = mat_mul(IntMatrix(tuple(tuple(r) for r in rows)), data)
-            rows = prod.to_lists()
-    return IntMatrix(tuple(tuple(r) for r in rows))
+        new = []
+        for j, terms in actions[letter]:
+            (i, c), *more = terms
+            if c == 1:
+                col = cols[i]
+            elif c == -1:
+                col = [-x for x in cols[i]]
+            else:
+                col = [c * x for x in cols[i]]
+            for i, c in more:
+                if c == 1:
+                    col = [a + b for a, b in zip(col, cols[i])]
+                elif c == -1:
+                    col = [a - b for a, b in zip(col, cols[i])]
+                else:
+                    col = [a + c * b for a, b in zip(col, cols[i])]
+            new.append((j, col))
+        for j, col in new:
+            cols[j] = col
+    return IntMatrix(tuple(zip(*cols)))
 
 
 def make_sample(family: GeneratorFamily, length: int, seed: int) -> WalkSample:

@@ -93,6 +93,20 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
     assert tables["3"]["predicted"] == {}
 
 
+@pytest.mark.parametrize("genus", ["3", "4"])
+def test_modp_rank_predicts_only_for_symplectic_families(tmp_path, capsys,
+                                                         genus):
+    # hua-reiner walks SL(3) and SL(4); neither is scored against Sp(2g, F_2)
+    code, out = _run(capsys, [
+        "modp-rank", "--family", "hua-reiner", "--genus", genus,
+        "--lengths", "20", "--samples", "5", "--seed", "1",
+        "--primes", "2", "--out", str(tmp_path)])
+    assert code == 0
+    table = json.loads(open(out[1]).read())["rank_tables"]["2"]
+    assert table["predicted"] == {}
+    assert "total_variation" not in table
+
+
 def test_modp_rank_rejects_composite_prime(tmp_path, capsys):
     code, _ = _run(capsys, [
         "modp-rank", "--family", "humphries", "--genus", "2",
@@ -208,3 +222,25 @@ def test_json_format_output(tmp_path, capsys):
     assert len(records) == 2
     assert set(records[0]) == {"length", "sample_index", "log_torsion",
                                "betti", "singular"}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["modp-rank", "--primes", "x"], "'x'"),
+    (["punctured", "--lengths", "x"], "'x'"),
+    (["prescribe", "x"], "'x'"),
+    (["torsion-stats", "--family", "nope"], "'nope'"),
+    (["heegaard", "--family", "nope"], "'nope'"),
+    (["modp-rank", "--family", "nope"], "'nope'"),
+    (["torsion-stats", "--genus", "1"], "got 1"),
+    (["modp-rank", "--genus", "1"], "got 1"),
+    (["torsion-stats", "--family", "stanek", "--genus", "0"], "got 0"),
+    (["lyapunov", "--steps", "50"], "steps 50"),
+    (["lyapunov", "--trials", "0"], "trials 0"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
+    code = main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert bad in err
+    assert not os.listdir(tmp_path)

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from functools import reduce
 
 import pytest
 
-from symwalk.generators import (custom_family, hua_reiner,
-                                humphries_symplectic, stanek)
+from symwalk.generators import (custom_family, hru5, hua_reiner,
+                                humphries_symplectic, stanek,
+                                symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
 from symwalk.walker import (BatchConfig, BatchError, Word, derive_seed,
                             make_sample, run_batch, sample_word, word_product)
@@ -68,8 +71,21 @@ def test_word_product_concatenation():
     assert word_product(Word(fam, w1 + w2)) == mat_mul(p1, p2)
 
 
+# criterion 06's aperiodic SL(2) family, and a family whose members have
+# diagonal entries other than 1 and coefficients outside {-1, 0, 1}
+_APERIODIC_SL2 = symmetric_closure(custom_family((
+    IntMatrix(((1, 1), (0, 1))), IntMatrix(((0, 1), (-1, 1))))))
+_WIDE_COEFFICIENTS = custom_family((
+    IntMatrix(((2, 3, 0), (1, 2, 0), (0, 0, 1))),
+    IntMatrix(((1, 0, 0), (0, 1, 0), (-5, 0, 1))),
+    hru5(3)))
+
+
 @pytest.mark.parametrize("fam", [humphries_symplectic(2), hua_reiner(3),
-                                 stanek(2), stanek(4)])
+                                 stanek(2), stanek(4),
+                                 symmetric_closure(humphries_symplectic(2)),
+                                 stanek(3), hua_reiner(4), _APERIODIC_SL2,
+                                 _WIDE_COEFFICIENTS])
 def test_fast_product_matches_dense(fam):
     rng = random.Random(99)
     letters = tuple(rng.randrange(len(fam)) for _ in range(40))
@@ -77,6 +93,16 @@ def test_fast_product_matches_dense(fam):
     dense = reduce(mat_mul, (fam.matrices[i] for i in letters))
     assert fast == dense
     assert det(fast) == 1
+
+
+def test_word_product_keeps_no_family_alive():
+    fam = custom_family((IntMatrix(((2, 1), (1, 1))),
+                         IntMatrix(((1, 0), (3, 1)))))
+    word_product(Word(fam, (0, 1, 1, 0)))
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None
 
 
 def test_run_batch_single_sample_cubes_generator():

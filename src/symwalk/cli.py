@@ -12,7 +12,7 @@ schema alone drives the CSV header and rows and the ``--format json``
 records.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal invariant
-violation.
+violation (``symwalk --debug <cmd>`` prints its traceback first).
 """
 
 from __future__ import annotations
@@ -23,13 +23,16 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .generators import POSITIVE, SYMMETRIC, make_family
 from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
-                       heegaard_homology, mapping_torus_homology,
-                       smith_normal_form, torsion_order)
+                       heegaard_homology, smith_normal_form, torsion_order)
+# Not called here (torsion_order computes it for singular samples), but
+# bench/child.py traces both under their cli names.
+from .homology import mapping_torus_homology  # noqa: F401
 from .intmat import IntMatrix, NotPrimeError, identity, is_prime
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
@@ -78,14 +81,8 @@ def threads_from_env() -> int:
 # --- per-sample record callbacks (module level: picklable) ------------------
 
 def _torsion_record(sample):
-    m = sample.product
-    t = torsion_order(m)
-    if t.singular:
-        h = mapping_torus_homology(m)
-        betti = h.betti
-    else:
-        betti = 1
-    return (math.log(t.value) if t.value > 1 else 0.0, betti, t.singular)
+    t = torsion_order(sample.product)
+    return (math.log(t.value) if t.value > 1 else 0.0, t.betti, t.singular)
 
 
 class _ModpRecord:
@@ -199,10 +196,12 @@ def cmd_torsion_stats(cfg):
 
 
 def cmd_modp_rank(cfg):
-    primes = [int(p) for p in cfg.get("primes", [])]
+    primes = _ints(cfg.get("primes", []))
     if not primes:
         raise ConfigError("modp-rank needs at least one prime")
-    for p in primes:
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise ConfigError("prime %d is listed twice" % p)
         try:
             prime = is_prime(p)
         except ValueError as exc:
@@ -344,12 +343,14 @@ def cmd_snf(cfg):
 
 # --- the command table ----------------------------------------------------------
 
-def _ints(text):
+def _ints(value):
+    """The integers of comma-separated flag text or of a config list."""
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
+        return [int(x) for x in
+                (value.split(",") if isinstance(value, str) else value)]
+    except (TypeError, ValueError):
         raise ConfigError("bad integer list %r (want comma-separated "
-                          "integers)" % text)
+                          "integers)" % (value,))
 
 
 def _flag(names, key, convert=None, **options):
@@ -435,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "torsion growth, mod-p ranks, Heegaard homology, "
                     "Lyapunov spectra, prescribed homology.")
     ap.add_argument("--version", action="version", version=__version__)
+    ap.add_argument("--debug", action="store_true",
+                    help="print the traceback of an internal error")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
@@ -518,6 +521,8 @@ def main(argv=None) -> int:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:                       # internal invariant broke
+        if args.debug:
+            traceback.print_exc()
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
     print(data_path)

@@ -163,16 +163,19 @@ def mapping_torus_homology(m: IntMatrix) -> HomologyDescriptor:
 class TorsionOrder:
     value: int
     singular: bool
+    betti: int         # free rank of the mapping torus homology
 
 
 def torsion_order(m: IntMatrix) -> TorsionOrder:
     """|det(m - I)| when nonzero; otherwise the product of the nonzero
-    elementary divisors of m - I, flagged singular."""
+    elementary divisors of m - I, flagged singular.  Either way it is the
+    torsion order of the mapping torus homology, whose free rank comes
+    along; the Smith form is computed only for a singular m - I."""
     d = det(m - identity(m.dim))
     if d != 0:
-        return TorsionOrder(abs(d), False)
-    chain = smith_normal_form(m - identity(m.dim))
-    return TorsionOrder(math.prod(chain.nonzero) if chain.nonzero else 1, True)
+        return TorsionOrder(abs(d), False, 1)
+    h = mapping_torus_homology(m)
+    return TorsionOrder(h.torsion_order, True, h.betti)
 
 
 def _fp_nullity(m: IntMatrix, p: int) -> int:

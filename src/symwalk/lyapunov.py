@@ -40,59 +40,58 @@ class LyapunovEstimate:
         return sum(e for e in self.exponents if e > 0)
 
 
-def _qr_positive(f):
-    q, r = np.linalg.qr(f)
-    d = np.diagonal(r).copy()
-    sign = np.where(d >= 0, 1.0, -1.0)
-    return q * sign, np.abs(d)
-
-
-def _one_trial(gens, steps, seed):
-    dim = gens[0].shape[0]
-    rng = random.Random(seed)
-    k = len(gens)
-    frame = np.eye(dim)
-    for _ in range(BURN_IN):
-        frame = gens[rng.randrange(k)] @ frame
-        frame, _ = _qr_positive(frame)
-    logs = np.zeros(dim)
-    done = 0
-    while done < steps:
-        block = min(RENORM_EVERY, steps - done)
-        for _ in range(block):
-            frame = gens[rng.randrange(k)] @ frame
-        frame, stretch = _qr_positive(frame)
-        if np.any(stretch < _COLLAPSE):
-            raise FrameCollapseError(
-                "frame collapsed; reduce the renormalization period")
-        logs += np.log(stretch)
-        done += block
-    return logs / steps
+def _qr_positive(frames):
+    """QR of each matrix in a stack, signs chosen so diag(R) >= 0: the
+    orthonormal frames and the per-direction stretches |diag(R)|."""
+    q, r = np.linalg.qr(frames)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d >= 0, 1.0, -1.0)[..., None, :], np.abs(d)
 
 
 def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                        seed: int) -> LyapunovEstimate:
-    """Mean per-step log stretches of an evolved orthonormal frame."""
+    """Mean per-step log stretches of an evolved orthonormal frame.
+
+    The trials evolve together as one (trials, dim, dim) stack; each step
+    applies one letter per trial, drawn from that trial's seeded stream."""
     if steps < 100:
         raise ValueError("need steps >= 100, got %d" % steps)
     if trials < 1:
         raise ValueError("need trials >= 1, got %d" % trials)
-    gens = [np.array(m.to_lists(), dtype=float) for m in family.matrices]
-    per_trial = []
-    for t in range(trials):
-        trial_seed = derive_seed(seed, steps, t)
-        logs = _one_trial(gens, steps, trial_seed)
-        if not np.isfinite(logs).all():
-            raise FloatingPointError(
-                "lyapunov trial %d (seed %d) has non-finite log stretches; "
-                "the generators overflow double precision" % (t, trial_seed))
-        per_trial.append(logs)
-    per_trial = np.array(per_trial)
+    gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
+    k, dim = gens.shape[:2]
+    seeds = [derive_seed(seed, steps, t) for t in range(trials)]
+    draws = [random.Random(s).randrange for s in seeds]
+
+    def apply_letters(frames):
+        return gens[[draw(k) for draw in draws]] @ frames
+
+    frames = np.tile(np.eye(dim), (trials, 1, 1))
+    for _ in range(BURN_IN):
+        frames, _ = _qr_positive(apply_letters(frames))
+    logs = np.zeros((trials, dim))
+    collapsed = np.zeros(trials, dtype=bool)
+    with np.errstate(divide="ignore"):      # a collapsed frame logs -inf
+        for done in range(0, steps, RENORM_EVERY):
+            for _ in range(min(RENORM_EVERY, steps - done)):
+                frames = apply_letters(frames)
+            frames, stretch = _qr_positive(frames)
+            collapsed |= (stretch < _COLLAPSE).any(axis=1)
+            logs += np.log(stretch)
+    per_trial = logs / steps
+    failed = collapsed | ~np.isfinite(per_trial).all(axis=1)
+    if failed.any():
+        t = int(np.argmax(failed))
+        if collapsed[t]:
+            raise FrameCollapseError(
+                "lyapunov trial %d (seed %d): frame collapsed; reduce the "
+                "renormalization period" % (t, seeds[t]))
+        raise FloatingPointError(
+            "lyapunov trial %d (seed %d) has non-finite log stretches; "
+            "the generators overflow double precision" % (t, seeds[t]))
     mean = per_trial.mean(axis=0)
-    if trials > 1:
-        stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        stderr = np.zeros_like(mean)
+    stderr = (per_trial.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
+              else np.zeros_like(mean))
     order = np.argsort(-mean)
     return LyapunovEstimate(
         exponents=tuple(float(x) for x in mean[order]),

@@ -82,6 +82,9 @@ class BatchConfig:
         start, end, step = self.lengths
         if start < 1 or step < 1 or self.samples_per_length < 1:
             raise ValueError("lengths must start >= 1, step >= 1, samples >= 1")
+        if end < start:
+            raise ValueError("lengths %d:%d:%d end before they start"
+                             % self.lengths)
         if self.mode not in (POSITIVE, SYMMETRIC):
             raise ValueError("unknown mode %r" % self.mode)
 

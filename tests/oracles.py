@@ -1,10 +1,16 @@
 """Independent brute-force oracles shared by the test modules."""
 
+import math
 import random
 from itertools import combinations
 from math import gcd
 
+import numpy as np
+
 from symwalk.intmat import IntMatrix, det
+from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
+                              FrameCollapseError, LyapunovEstimate)
+from symwalk.walker import derive_seed
 
 
 def naive_snf(m: IntMatrix):
@@ -132,3 +138,61 @@ def longest_run_rescan(letters, letter):
             k += 1
         best = max(best, k)
     return best
+
+
+def _qr_positive_2d(f):
+    q, r = np.linalg.qr(f)
+    d = np.diagonal(r).copy()
+    sign = np.where(d >= 0, 1.0, -1.0)
+    return q * sign, np.abs(d)
+
+
+def _one_lyapunov_trial(gens, steps, trial, seed):
+    dim = gens[0].shape[0]
+    rng = random.Random(seed)
+    k = len(gens)
+    frame = np.eye(dim)
+    for _ in range(BURN_IN):
+        frame = gens[rng.randrange(k)] @ frame
+        frame, _ = _qr_positive_2d(frame)
+    logs = np.zeros(dim)
+    done = 0
+    while done < steps:
+        block = min(RENORM_EVERY, steps - done)
+        for _ in range(block):
+            frame = gens[rng.randrange(k)] @ frame
+        frame, stretch = _qr_positive_2d(frame)
+        if np.any(stretch < _COLLAPSE):
+            raise FrameCollapseError(
+                "lyapunov trial %d (seed %d): frame collapsed; reduce the "
+                "renormalization period" % (trial, seed))
+        logs += np.log(stretch)
+        done += block
+    return logs / steps
+
+
+def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
+    """The QR-method estimate with one 2-D frame per trial, trials run in
+    order: the reference the stacked ``estimate_exponents`` must equal."""
+    gens = [np.array(m.to_lists(), dtype=float) for m in family.matrices]
+    per_trial = []
+    for t in range(trials):
+        trial_seed = derive_seed(seed, steps, t)
+        logs = _one_lyapunov_trial(gens, steps, t, trial_seed)
+        if not np.isfinite(logs).all():
+            raise FloatingPointError(
+                "lyapunov trial %d (seed %d) has non-finite log stretches; "
+                "the generators overflow double precision" % (t, trial_seed))
+        per_trial.append(logs)
+    per_trial = np.array(per_trial)
+    mean = per_trial.mean(axis=0)
+    if trials > 1:
+        stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
+    else:
+        stderr = np.zeros_like(mean)
+    order = np.argsort(-mean)
+    return LyapunovEstimate(
+        exponents=tuple(float(x) for x in mean[order]),
+        trials=trials,
+        steps_per_trial=steps,
+        standard_error=tuple(float(x) for x in stderr[order]))

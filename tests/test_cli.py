@@ -236,6 +236,10 @@ def test_json_format_output(tmp_path, capsys):
     (["torsion-stats", "--family", "stanek", "--genus", "0"], "got 0"),
     (["lyapunov", "--steps", "50"], "steps 50"),
     (["lyapunov", "--trials", "0"], "trials 0"),
+    (["torsion-stats", "--lengths", "500:100"], "500:100"),
+    (["modp-rank", "--lengths", "500:100"], "500:100"),
+    (["heegaard", "--lengths", "500:100"], "500:100"),
+    (["modp-rank", "--primes", "2,3,2"], "prime 2 "),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])
@@ -244,3 +248,31 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     assert err.startswith("config error:")
     assert bad in err
     assert not os.listdir(tmp_path)
+
+
+def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": ["x"]}))
+    out = tmp_path / "out"
+    code = main(["modp-rank", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: bad integer list ['x'] (want "
+                   "comma-separated integers)\n")
+    assert not out.exists()
+
+
+def test_debug_prints_the_traceback_of_an_internal_error(tmp_path, capsys,
+                                                          monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("symwalk.cli.estimate_exponents", broken)
+    argv = ["lyapunov", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal error: boom\n"
+    assert main(["--debug"] + argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "RuntimeError: boom\n" in err
+    assert err.endswith("\ninternal error: boom\n")

@@ -43,9 +43,9 @@ def test_mapping_torus_examples():
 
 def test_torsion_order_examples():
     t = torsion_order(identity(4))
-    assert t == TorsionOrder(1, True)
-    assert torsion_order(SNF_BLOCK_R2_S3) == TorsionOrder(12, False)
-    assert torsion_order(IntMatrix(((2, 1), (1, 1)))) == TorsionOrder(1, False)
+    assert t == TorsionOrder(1, True, 5)
+    assert torsion_order(SNF_BLOCK_R2_S3) == TorsionOrder(12, False, 1)
+    assert torsion_order(IntMatrix(((2, 1), (1, 1)))) == TorsionOrder(1, False, 1)
 
 
 def test_fp_rank_examples():
@@ -170,11 +170,13 @@ def test_betti_matches_rational_kernel():
 
 def test_torsion_order_consistent_with_descriptor():
     rng = random.Random(8)
-    for _ in range(40):
-        m = random_int_matrix(rng, 4, 4)
+    mats = [random_int_matrix(rng, 4, 4) for _ in range(40)]
+    mats += [identity(4), IntMatrix(((1, 0, 0, 0), (0, 1, 0, 0),
+                                     (0, 0, 3, 4), (0, 0, 2, 3)))]
+    for m in mats:
         t = torsion_order(m)
         h = mapping_torus_homology(m)
-        assert t.value == h.torsion_order
+        assert (t.value, t.betti) == (h.torsion_order, h.betti)
 
 
 def test_heegaard_rejects_odd_dimension():

@@ -4,10 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from symwalk.generators import custom_family, humphries_symplectic
+from oracles import lyapunov_one_trial_at_a_time
+from symwalk.generators import custom_family, humphries_symplectic, make_family
 from symwalk.intmat import IntMatrix
-from symwalk.lyapunov import (CltDiagnostics, LyapunovEstimate,
-                              clt_diagnostics, estimate_exponents, normal_cdf)
+from symwalk.lyapunov import (CltDiagnostics, FrameCollapseError,
+                              LyapunovEstimate, clt_diagnostics,
+                              estimate_exponents, normal_cdf)
+from symwalk.walker import derive_seed
 
 
 def test_identity_family_has_zero_exponents():
@@ -33,6 +36,48 @@ def test_overflowing_family_fails_loudly():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="trial 0 \\(seed "):
         estimate_exponents(fam, 100, 2, 1)
+
+
+@pytest.mark.parametrize("family, param, steps, trials, seed", [
+    ("humphries", 2, 300, 5, 1),
+    ("humphries", 3, 200, 4, 2),
+    ("stanek", 2, 300, 5, 3),
+    ("hua-reiner", 3, 333, 7, 4),      # odd dimension, steps % 10 != 0
+    ("humphries", 2, 500, 1, 5),
+])
+def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
+                                                   trials, seed):
+    fam = make_family(family, param)
+    est = estimate_exponents(fam, steps, trials, seed)
+    ref = lyapunov_one_trial_at_a_time(fam, steps, trials, seed)
+    assert est.exponents == ref.exponents
+    assert est.standard_error == ref.standard_error
+
+
+def test_frame_collapse_names_the_trial():
+    # shears by 10^20 make the two frame columns parallel in double
+    # precision, so the second stretch rounds to zero
+    b = 10 ** 20
+    fam = custom_family([IntMatrix(((1, 0), (b, 1))),
+                         IntMatrix(((1, b), (0, 1)))])
+    with pytest.raises(FrameCollapseError) as exc:
+        estimate_exponents(fam, 100, 3, 9)
+    assert str(exc.value).startswith(
+        "lyapunov trial 0 (seed %d): frame collapsed" % derive_seed(9, 100, 0))
+
+
+def test_lowest_collapsed_trial_is_named_as_in_trial_order():
+    # one big shear among four unit shears: trials collapse in different
+    # renormalization blocks, and the error names the first trial in
+    # trial order that collapses at all
+    fam = custom_family([IntMatrix(m) for m in (
+        ((1, 0), (10 ** 16, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1)),
+        ((1, 0), (1, 1)), ((1, 0), (-1, 1)))])
+    with pytest.raises(FrameCollapseError) as ref:
+        lyapunov_one_trial_at_a_time(fam, 100, 6, 0)
+    with pytest.raises(FrameCollapseError) as est:
+        estimate_exponents(fam, 100, 6, 0)
+    assert str(est.value) == str(ref.value)
 
 
 def test_estimates_are_deterministic():

@@ -155,6 +155,8 @@ def test_batch_config_validation():
         BatchConfig("humphries", 2, (1, 10, 1), 0, 0)
     with pytest.raises(ValueError):
         BatchConfig("humphries", 2, (1, 10, 1), 1, 0, mode="weird")
+    with pytest.raises(ValueError, match="lengths 500:100:1 end before"):
+        BatchConfig("humphries", 2, (500, 100, 1), 1, 0)
 
 
 def test_symmetric_mode_resolves_closed_family():

@@ -37,8 +37,10 @@ from .intmat import IntMatrix, NotPrimeError, identity, is_prime
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
-from .stats import empirical_rank_table, exhaustive_sp2_oracle, linear_fit, summarize
+from .stats import empirical_rank_table, linear_fit, summarize, walk_rank_law
 from .walker import BatchConfig, run_batch
+
+exhaustive_sp2_oracle = walk_rank_law   # the name bench/child.py traces
 
 
 class ConfigError(ValueError):
@@ -168,10 +170,10 @@ def _batch_config(cfg):
     try:
         batch = BatchConfig(
             family_name=cfg["family"],
-            family_param=int(cfg["param"]),
+            family_param=cfg["param"],
             lengths=tuple(cfg["lengths"]),
-            samples_per_length=int(cfg["samples"]),
-            master_seed=int(cfg["seed"]),
+            samples_per_length=cfg["samples"],
+            master_seed=cfg["seed"],
             mode=cfg.get("mode", POSITIVE),
         )
         family = make_family(batch.family_name, batch.family_param)
@@ -196,7 +198,7 @@ def cmd_torsion_stats(cfg):
 
 
 def cmd_modp_rank(cfg):
-    primes = _ints(cfg.get("primes", []))
+    primes = cfg.get("primes", [])
     if not primes:
         raise ConfigError("modp-rank needs at least one prime")
     for i, p in enumerate(primes):
@@ -208,30 +210,24 @@ def cmd_modp_rank(cfg):
             raise ConfigError(str(exc))
         if not prime:
             raise ConfigError("%d is not prime" % p)
-    batch, fam = _batch_config(cfg)
+    batch, _ = _batch_config(cfg)
     rows = [key + (p, r)
             for key, ranks in run_batch_indexed(batch, _ModpRecord(primes))
             for p, r in zip(primes, ranks)]
 
-    # empirical distribution at the largest length, with the exact oracle
-    # alongside when the family is symplectic and the group is small
-    # enough to enumerate
+    # empirical distribution at the largest length, with the exact law of
+    # the walk alongside when its group mod p is small enough
     top = max(batch.length_values())
-    g = fam.dim // 2
+    walked = batch.resolve_family()
     tables = {}
     for p in primes:
         ranks = [r for length, _, q, r in rows if length == top and q == p]
-        oracle = {}
-        if fam.form == "J":
-            try:
-                oracle = exhaustive_sp2_oracle(p, g)
-            except ValueError:      # no enumerator for this (p, g)
-                pass
-        table = empirical_rank_table(p, ranks, oracle)
+        law = walk_rank_law(walked, p, top)
+        table = empirical_rank_table(p, ranks, law)
         entry = {"empirical": {str(k): v
                                for k, v in table.frequencies.items()},
-                 "predicted": {str(k): float(v) for k, v in oracle.items()}}
-        if oracle:
+                 "predicted": {str(k): float(v) for k, v in law.items()}}
+        if law:
             entry["total_variation"] = table.total_variation()
         tables[str(p)] = entry
     return rows, {"rank_tables_at_length": top, "rank_tables": tables}
@@ -257,16 +253,14 @@ def cmd_heegaard(cfg):
 
 def cmd_lyapunov(cfg):
     try:
-        fam = make_family(cfg["family"], int(cfg["param"]))
-        steps = int(cfg.get("steps", 2000))
-        trials = int(cfg.get("trials", 100))
-        seed = int(cfg["seed"])
+        fam = make_family(cfg["family"], cfg["param"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("invalid lyapunov config: %s" % exc)
+    steps, trials = cfg["steps"], cfg["trials"]
     if steps < 100 or trials < 1:
         raise ConfigError("lyapunov needs steps >= 100 and trials >= 1, "
                           "got steps %d and trials %d" % (steps, trials))
-    est = estimate_exponents(fam, steps, trials, seed)
+    est = estimate_exponents(fam, steps, trials, cfg["seed"])
     rows = [(i, e, se) for i, (e, se) in
             enumerate(zip(est.exponents, est.standard_error))]
     return rows, {"exponents": list(est.exponents),
@@ -280,7 +274,7 @@ def cmd_prescribe(cfg):
     if "chain" not in cfg:
         raise ConfigError("prescribe needs a divisor chain")
     try:
-        chain = DivisorChain(tuple(int(x) for x in cfg["chain"]))
+        chain = DivisorChain(tuple(cfg["chain"]))
     except ValueError as exc:
         raise ConfigError("invalid chain: %s" % exc)
     try:
@@ -302,14 +296,13 @@ def cmd_prescribe(cfg):
 
 
 def cmd_punctured(cfg):
-    try:
-        alphabet = int(cfg.get("alphabet", 2))
-        lengths = [int(x) for x in cfg["lengths"]]
-        samples = int(cfg.get("samples", 30))
-        seed = int(cfg["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("invalid punctured config: %s" % exc)
-    result = run_scaling_experiment(alphabet, lengths, samples, seed)
+    alphabet, lengths, samples = (cfg[k] for k in
+                                  ("alphabet", "lengths", "samples"))
+    if alphabet < 2 or samples < 1 or not lengths or min(lengths) < 1:
+        raise ConfigError("punctured needs alphabet >= 2, samples >= 1 and "
+                          "lengths >= 1, got alphabet %d, samples %d and "
+                          "lengths %r" % (alphabet, samples, lengths))
+    result = run_scaling_experiment(alphabet, lengths, samples, cfg["seed"])
     fit = asdict(result.fit) if result.fit is not None else None
     return list(result.rows), {"fit_vs_log_length": fit}
 
@@ -343,14 +336,13 @@ def cmd_snf(cfg):
 
 # --- the command table ----------------------------------------------------------
 
-def _ints(value):
-    """The integers of comma-separated flag text or of a config list."""
+def _ints(text):
+    """The integers of comma-separated flag text."""
     try:
-        return [int(x) for x in
-                (value.split(",") if isinstance(value, str) else value)]
-    except (TypeError, ValueError):
+        return [int(x) for x in text.split(",")]
+    except ValueError:
         raise ConfigError("bad integer list %r (want comma-separated "
-                          "integers)" % (value,))
+                          "integers)" % text)
 
 
 def _flag(names, key, convert=None, **options):
@@ -457,8 +449,32 @@ def _load_config(path):
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "config" in doc and "artifact" in doc:
-        return doc["config"]     # an emitted manifest
+        doc = doc["config"]      # an emitted manifest
+    if not isinstance(doc, dict):
+        raise ConfigError("config file %s must hold a JSON object, got %s"
+                          % (path, type(doc).__name__))
     return doc
+
+
+# config keys whose values are integers, and lists of integers
+INT_KEYS = ("param", "samples", "seed", "steps", "trials", "alphabet")
+INT_LIST_KEYS = ("lengths", "primes", "chain")
+
+
+def _check_ints(cfg):
+    """Integer config values must be JSON integers: true, false, floats and
+    strings are config errors naming the key, never truncated."""
+    for key, value in cfg.items():
+        if key in INT_LIST_KEYS:
+            if not isinstance(value, list):
+                raise ConfigError("%s must be a list of integers, got %r"
+                                  % (key, value))
+            named = [("%s[%d]" % (key, i), v) for i, v in enumerate(value)]
+        else:
+            named = [(key, value)] if key in INT_KEYS else []
+        for name, v in named:
+            if type(v) is not int:
+                raise ConfigError("%s must be an integer, got %r" % (name, v))
 
 
 def _merge_config(args) -> dict:
@@ -471,6 +487,7 @@ def _merge_config(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = convert(value) if convert else value
+    _check_ints(cfg)
     return cfg
 
 

@@ -1,19 +1,23 @@
 """Descriptive statistics, OLS regression, histogram/QQ data, and the
-exhaustive small-group oracle for mod-p equidistribution checks.
+exact law of mod-p ranks under a walk, for mod-p equidistribution checks.
 
 Quantiles are nearest-rank (no interpolation) so summaries are exactly
-reproducible.  The oracle enumerates the full finite group by brute
-force; at the group orders involved (<= 720 for Sp(4, F_2)) clarity
-beats cleverness.
+reproducible.  The predicted rank law is that of the walk that is sampled,
+cosets and periodicity included, not the uniform law on some group.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
-from .intmat import NotPrimeError, is_prime
+import numpy as np
+
+from .homology import fp_rank
+from .intmat import IntMatrix, NotPrimeError, is_prime
 
 QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 
@@ -129,97 +133,73 @@ def empirical_rank_table(p: int, ranks, predicted=None) -> RankTable:
     return RankTable(p, freq, predicted or {})
 
 
-# --- exhaustive finite-group oracle ----------------------------------------
+# --- the exact law of the walk mod p ------------------------------------------
 
-def _sl2_elements(p: int):
-    """All of SL(2, F_p), solving for the fourth entry."""
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if a != 0:
-                    d = ((1 + b * c) * pow(a, -1, p)) % p
-                    yield (a, b, c, d)
-                else:
-                    # -bc = 1 mod p
-                    if b != 0 and (-b * c) % p == 1:
-                        for d in range(p):
-                            yield (a, b, c, d)
+GROUP_ORDER_BOUND = 10 ** 4     # largest group walk_rank_law evolves a law on
 
 
-def _rank2x2(a, b, c, d, p):
-    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
-        return 0
-    if (a * d - b * c) % p == 0:
-        return 1
-    return 2
+def _closure_mod_p(gens, p: int):
+    """Close generators (rows of integers) mod p by breadth-first search.
+
+    Returns the elements of the group G they generate, as one
+    ``(|G|, n, n)`` array with the identity first, and per generator g the
+    index array sending (the index of) x to x·g; None once |G| exceeds
+    ``GROUP_ORDER_BOUND``.
+    """
+    n = len(gens[0])
+    if n * (p - 1) ** 2 < 2 ** 63:      # every entry of a product fits
+        dtype, key = np.int64, np.ndarray.tobytes
+    else:                               # Python integers, keyed by value
+        dtype, key = object, lambda a: tuple(a.ravel().tolist())
+    gens = [np.array(g, dtype=dtype) % p for g in gens]
+    group = [np.eye(n, dtype=np.int64).astype(dtype)]
+    index = {key(group[0]): 0}
+    moves = [[] for _ in gens]
+    for x in group:                     # group grows as it is visited
+        for g, move in zip(gens, moves):
+            y = x @ g % p
+            move.append(index.setdefault(key(y), len(group)))
+            if move[-1] == len(group):
+                group.append(y)
+        if len(group) > GROUP_ORDER_BOUND:
+            return None
+    return np.array(group), np.array(moves)
 
 
-def _sp4_f2_elements():
-    """All 720 elements of Sp(4, F_2), by brute force over F_2^16."""
-    j = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    for bits in range(1 << 16):
-        m = tuple(tuple((bits >> (4 * i + k)) & 1 for k in range(4))
-                  for i in range(4))
-        # check m^T J m == J over F_2
-        ok = True
-        for r in range(4):
-            for c in range(4):
-                v = sum(m[i][r] * j[i][k] * m[k][c]
-                        for i in range(4) for k in range(4)) % 2
-                if v != j[r][c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield m
+def walk_rank_law(family, p: int, length: int) -> dict:
+    """Exact law of ``fp_rank(M, p)`` for the product M of a uniform word
+    of ``length`` letters over ``family``, as ``{rank: Fraction}``.
 
-
-def _nullity_mod2(m):
-    rows = [list(r) for r in m]
-    n = len(rows)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return n - rank
-
-
-def exhaustive_sp2_oracle(p: int, g: int) -> dict:
-    """Exact distribution of 1 + dim ker(M - I) over the full group
-    Sp(2g, F_p); exact rational probabilities.
-
-    Supported: g = 1 with small p (SL(2, F_p) = Sp(2, F_p)), and the
-    g = 2, p = 2 case (Sp(4, F_2), order 720).
+    The word counts of the walk on the closure G of the generators mod p
+    evolve one letter at a time, ``v <- sum_g v[x·g^-1]`` (Diaconis 1988,
+    ch. 3), so a walk confined to a coset or a subgroup of G is predicted
+    as such.  Returns ``{}`` when |G| exceeds ``GROUP_ORDER_BOUND``.
     """
     if not is_prime(p):
         raise NotPrimeError("%d is not prime" % p)
-    counts = {}
-    if g == 1:
-        order = p * (p * p - 1)
-        if order > 10 ** 6:
-            raise ValueError("group too large (order %d)" % order)
-        total = 0
-        for a, b, c, d in _sl2_elements(p):
-            nullity = 2 - _rank2x2(a - 1, b, c, d - 1, p)
-            counts[1 + nullity] = counts.get(1 + nullity, 0) + 1
-            total += 1
-        assert total == order
-    elif g == 2 and p == 2:
-        total = 0
-        for m in _sp4_f2_elements():
-            mi = tuple(tuple((m[i][k] - (1 if i == k else 0)) % 2
-                             for k in range(4)) for i in range(4))
-            nullity = _nullity_mod2(mi)
-            counts[1 + nullity] = counts.get(1 + nullity, 0) + 1
-            total += 1
-        assert total == 720
-    else:
-        raise ValueError("unsupported (p, g) = (%d, %d)" % (p, g))
-    return {r: Fraction(c, total) for r, c in sorted(counts.items())}
+    # letters whose generators agree mod p move the walk alike
+    weights = Counter(tuple(tuple(x % p for x in row) for row in m.rows)
+                      for m in family.matrices)
+    closure = _closure_mod_p(list(weights), p)
+    if closure is None:
+        return {}
+    group, moves = closure
+    # per distinct generator g: back[y] is the x with x·g = y, and its
+    # weight; counts are words of weighted letters, W^length in all
+    common = math.gcd(*weights.values())
+    steps = [(np.argsort(move), w // common)
+             for move, w in zip(moves, weights.values())]
+    counts = np.zeros(len(group), dtype=object)
+    counts[0] = 1
+    for _ in range(length):
+        new = np.zeros(len(group), dtype=object)
+        for back, w in steps:
+            new += w * counts[back] if w > 1 else counts[back]
+        counts = new
+    law = {}
+    for element, count in zip(group, counts):
+        if count:
+            rank = fp_rank(IntMatrix(tuple(map(tuple, element.tolist()))), p)
+            law[rank] = law.get(rank, 0) + count
+    words = (len(family) // common) ** length     # W^length
+    return {rank: Fraction(c, words) for rank, c in sorted(law.items())}

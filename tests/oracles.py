@@ -1,16 +1,21 @@
-"""Independent brute-force oracles shared by the test modules."""
+"""Independent brute-force oracles, and the walk families they are
+checked on, shared by the test modules."""
 
 import math
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
 
-from symwalk.intmat import IntMatrix, det
+from symwalk.generators import (custom_family, humphries_symplectic,
+                                symmetric_closure)
+from symwalk.homology import fp_rank
+from symwalk.intmat import IntMatrix, det, mat_mul
 from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
                               FrameCollapseError, LyapunovEstimate)
-from symwalk.walker import derive_seed
+from symwalk.walker import Word, derive_seed, word_product
 
 
 def naive_snf(m: IntMatrix):
@@ -121,6 +126,36 @@ def minor_gcd_divisors(m: IntMatrix):
         else:
             divisors.append(gs[k] // gs[k - 1])
     return tuple(divisors)
+
+
+def aperiodic_sl2():
+    """A symmetric walk on SL(2, Z) whose law mod p tends to the uniform
+    law on SL(2, F_p)."""
+    return symmetric_closure(custom_family((
+        IntMatrix(((1, 1), (0, 1))),
+        IntMatrix(((0, 1), (-1, 1))),
+    )))
+
+
+def aperiodic_sp4():
+    """Symmetric Humphries genus 2 plus one even element; its law mod 2
+    tends to the uniform law on Sp(4, F_2)."""
+    base = humphries_symplectic(2)
+    # one even element (product of two transvections) breaks the parity
+    # confinement of fixed-length walks to a single coset mod 2
+    extra = mat_mul(base.matrices[0], base.matrices[3])
+    return symmetric_closure(custom_family(base.matrices + (extra,)))
+
+
+def rank_law_by_enumeration(family, p, length):
+    """Law of fp_rank mod p over all k^length words, each multiplied out
+    over Z.  Exponential; only for short words."""
+    counts = {}
+    for letters in product(range(len(family)), repeat=length):
+        rank = fp_rank(word_product(Word(family, letters)), p)
+        counts[rank] = counts.get(rank, 0) + 1
+    words = len(family) ** length
+    return {rank: Fraction(c, words) for rank, c in sorted(counts.items())}
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:

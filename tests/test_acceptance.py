@@ -12,10 +12,9 @@ import random
 
 import pytest
 
-from oracles import naive_snf, random_int_matrix
+from oracles import aperiodic_sl2, aperiodic_sp4, naive_snf, random_int_matrix
 from symwalk.cli import main as cli_main
-from symwalk.generators import (custom_family, humphries_symplectic,
-                                make_family, stanek, symmetric_closure)
+from symwalk.generators import humphries_symplectic, stanek
 from symwalk.homology import (DivisorChain, fp_rank, heegaard_homology,
                               mapping_torus_homology, smith_normal_form,
                               torsion_order)
@@ -24,8 +23,7 @@ from symwalk.lyapunov import clt_diagnostics, estimate_exponents
 from symwalk.prescribe import (prescribe_symplectic, sl2_block,
                                verify_prescription)
 from symwalk.punctured import run_scaling_experiment
-from symwalk.stats import (empirical_rank_table, exhaustive_sp2_oracle,
-                           linear_fit)
+from symwalk.stats import empirical_rank_table, linear_fit, walk_rank_law
 from symwalk.walker import BatchConfig, derive_seed, make_sample, run_batch
 
 MASTER_SEED = 20240817
@@ -114,45 +112,30 @@ def test_criterion_05_generic_betti_one():
             "fraction betti>1 = %.4f limit 0.01" % frac)
 
 
-def _aperiodic_sl2():
-    return symmetric_closure(custom_family((
-        IntMatrix(((1, 1), (0, 1))),
-        IntMatrix(((0, 1), (-1, 1))),
-    )))
-
-
-def _aperiodic_sp4():
-    base = humphries_symplectic(2)
-    from symwalk.intmat import mat_mul
-    # one even element (product of two transvections) breaks the parity
-    # confinement of fixed-length walks to a single coset mod 2
-    extra = mat_mul(base.matrices[0], base.matrices[3])
-    return symmetric_closure(custom_family(base.matrices + (extra,)))
-
-
 def test_criterion_06_modp_equidistribution():
     cases = [
-        ("SL2/F2", _aperiodic_sl2(), 2, 1),
-        ("SL2/F3", _aperiodic_sl2(), 3, 1),
-        ("Sp4/F2", _aperiodic_sp4(), 2, 2),
+        ("SL2/F2", aperiodic_sl2(), 2),
+        ("SL2/F3", aperiodic_sl2(), 3),
+        ("Sp4/F2", aperiodic_sp4(), 2),
     ]
     details = []
     ok = True
-    for tag, fam, p, g in cases:
+    for tag, fam, p in cases:
         length = 500
         ranks = [fp_rank(make_sample(fam, length,
                                      derive_seed(MASTER_SEED + 3, length, j)
                                      ).product, p)
                  for j in range(2000)]
-        table = empirical_rank_table(p, ranks,
-                                     predicted=exhaustive_sp2_oracle(p, g))
+        law = walk_rank_law(fam, p, length)
+        table = empirical_rank_table(p, ranks, predicted=law)
         tv = table.total_variation()
         details.append("%s tv=%.4f" % (tag, tv))
         ok = ok and tv <= 0.05
         if tag == "SL2/F2":
             ev1 = sum(1 for r in ranks if r >= 2) / len(ranks)
-            details.append("ev1=%.4f (exact 2/3)" % ev1)
-            ok = ok and abs(ev1 - 2 / 3) < 0.04
+            exact = float(1 - law[1])
+            details.append("ev1=%.4f (exact %.4f)" % (ev1, exact))
+            ok = ok and abs(ev1 - exact) < 0.04
     _report("modp-equidistribution", ok,
             "; ".join(details) + "; limit tv<=0.05")
 

@@ -5,6 +5,8 @@ import pytest
 
 from symwalk.cli import (ConfigError, fmt, main, parse_lengths,
                          read_matrix_file, threads_from_env)
+from symwalk.generators import hua_reiner, symmetric_closure
+from symwalk.stats import walk_rank_law
 
 
 @pytest.fixture(autouse=True)
@@ -93,16 +95,27 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
     assert tables["3"]["predicted"] == {}
 
 
-@pytest.mark.parametrize("genus", ["3", "4"])
-def test_modp_rank_predicts_only_for_symplectic_families(tmp_path, capsys,
-                                                         genus):
-    # hua-reiner walks SL(3) and SL(4); neither is scored against Sp(2g, F_2)
+def _hua_reiner_rank_table(tmp_path, capsys, n):
     code, out = _run(capsys, [
-        "modp-rank", "--family", "hua-reiner", "--genus", genus,
+        "modp-rank", "--family", "hua-reiner", "--genus", str(n),
         "--lengths", "20", "--samples", "5", "--seed", "1",
         "--primes", "2", "--out", str(tmp_path)])
     assert code == 0
-    table = json.loads(open(out[1]).read())["rank_tables"]["2"]
+    return json.loads(open(out[1]).read())["rank_tables"]["2"]
+
+
+def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
+    # modp-rank walks the symmetric closure of hua-reiner n=3 in SL(3, Z);
+    # mod 2 its group is SL(3, F_2)
+    table = _hua_reiner_rank_table(tmp_path, capsys, 3)
+    law = walk_rank_law(symmetric_closure(hua_reiner(3)), 2, 20)
+    assert table["predicted"] == {str(r): float(q) for r, q in law.items()}
+    assert "total_variation" in table
+
+
+def test_modp_rank_predicts_nothing_over_the_group_bound(tmp_path, capsys):
+    # SL(4, F_2) has 20160 elements, more than GROUP_ORDER_BOUND
+    table = _hua_reiner_rank_table(tmp_path, capsys, 4)
     assert table["predicted"] == {}
     assert "total_variation" not in table
 
@@ -240,6 +253,9 @@ def test_json_format_output(tmp_path, capsys):
     (["modp-rank", "--lengths", "500:100"], "500:100"),
     (["heegaard", "--lengths", "500:100"], "500:100"),
     (["modp-rank", "--primes", "2,3,2"], "prime 2 "),
+    (["punctured", "--alphabet", "1"], "alphabet 1"),
+    (["punctured", "--samples", "0"], "samples 0"),
+    (["punctured", "--lengths", "64,0"], "[64, 0]"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])
@@ -257,8 +273,51 @@ def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
     code = main(["modp-rank", "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("config error: bad integer list ['x'] (want "
-                   "comma-separated integers)\n")
+    assert err == "config error: primes[0] must be an integer, got 'x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, bad", [
+    ("modp-rank", {"primes": [2.5]}, "primes[0] must be an integer, got 2.5"),
+    ("modp-rank", {"primes": 2}, "primes must be a list of integers, got 2"),
+    ("modp-rank", {"samples": 2.7}, "samples must be an integer, got 2.7"),
+    ("torsion-stats", {"lengths": [20.5, 20.5, 1]},
+     "lengths[0] must be an integer, got 20.5"),
+    ("torsion-stats", {"seed": True}, "seed must be an integer, got True"),
+    ("heegaard", {"param": "2"}, "param must be an integer, got '2'"),
+    ("lyapunov", {"steps": 150.9}, "steps must be an integer, got 150.9"),
+    ("lyapunov", {"trials": False}, "trials must be an integer, got False"),
+    ("punctured", {"alphabet": 2.0}, "alphabet must be an integer, got 2.0"),
+    ("punctured", {"lengths": [64, 1e3]},
+     "lengths[1] must be an integer, got 1000.0"),
+    ("prescribe", {"chain": [2, 6.0]}, "chain[1] must be an integer, got 6.0"),
+])
+def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
+                                         bad):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("[1, 2]", "must hold a JSON object, got list"),
+    ("3", "must hold a JSON object, got int"),
+])
+def test_config_file_must_be_a_json_object(tmp_path, capsys, text, bad):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["modp-rank", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: config file ")
+    assert bad in err
     assert not out.exists()
 
 

@@ -14,5 +14,5 @@ from .homology import (DivisorChain, HomologyDescriptor,
 from .intmat import (IntMatrix, SymplecticForm, det, identity, is_symplectic,
                      mat_mul, mod_p)
 from .prescribe import prescribe_symplectic, sl2_block, verify_prescription
-from .walker import (BatchConfig, WalkSample, Word, run_batch, sample_word,
-                     word_product)
+from .walker import (BatchConfig, WalkSample, Word, make_sample, run_batch,
+                     sample_word, word_product)

@@ -296,13 +296,11 @@ def cmd_prescribe(cfg):
 
 
 def cmd_punctured(cfg):
-    alphabet, lengths, samples = (cfg[k] for k in
-                                  ("alphabet", "lengths", "samples"))
-    if alphabet < 2 or samples < 1 or not lengths or min(lengths) < 1:
-        raise ConfigError("punctured needs alphabet >= 2, samples >= 1 and "
-                          "lengths >= 1, got alphabet %d, samples %d and "
-                          "lengths %r" % (alphabet, samples, lengths))
-    result = run_scaling_experiment(alphabet, lengths, samples, cfg["seed"])
+    try:
+        result = run_scaling_experiment(cfg["alphabet"], cfg["lengths"],
+                                        cfg["samples"], cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     fit = asdict(result.fit) if result.fit is not None else None
     return list(result.rows), {"fit_vs_log_length": fit}
 
@@ -447,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:          # also bytes that are not UTF-8
+            raise ConfigError("config file %s is not valid JSON: %s"
+                              % (path, exc))
     if isinstance(doc, dict) and "config" in doc and "artifact" in doc:
         doc = doc["config"]      # an emitted manifest
     if not isinstance(doc, dict):

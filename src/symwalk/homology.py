@@ -9,6 +9,7 @@ splitting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -22,7 +23,14 @@ class DivisorChain:
     divisors: tuple
 
     def __post_init__(self):
-        ds = tuple(int(d) for d in self.divisors)
+        ds = []
+        for d in self.divisors:
+            try:
+                ds.append(operator.index(d))
+            except TypeError:
+                raise ValueError("divisors must be integers, got %r"
+                                 % (d,)) from None
+        ds = tuple(ds)
         object.__setattr__(self, "divisors", ds)
         seen_zero = False
         prev = None

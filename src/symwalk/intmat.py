@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 
 class DimensionError(ValueError):
@@ -67,10 +66,6 @@ class IntMatrix:
 def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def from_rows(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    return IntMatrix(tuple(tuple(row) for row in rows))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

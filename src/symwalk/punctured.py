@@ -1,11 +1,7 @@
-"""Punctured-torus monodromy diagnostics.
+"""Longest runs of one letter in uniform random words.
 
-Continued-fraction digits of the (1,1) / (1,2) entry ratio of an
-SL(2, Z) monodromy bound the systole of its mapping torus from above by
-c / (max digit)^2.  The constant c is unknown, so the bound is exposed
-as a proxy with c = 1: ordering-faithful, not a calibrated length.  Runs
-of a single letter in random words grow like log(n) / log(alphabet), and
-the scaling experiment measures exactly that.
+Runs of a single letter in random words grow like log(n) / log(alphabet),
+and the scaling experiment measures exactly that.
 """
 
 from __future__ import annotations
@@ -13,78 +9,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
-from .intmat import IntMatrix, det
 from .stats import LinearFit, linear_fit
-from .walker import Word, derive_seed
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Canonical regular continued fraction of numerator/denominator.
-
-    The stored fraction is in lowest terms with denominator > 0; a
-    negative value is recorded in ``sign`` with digits taken for the
-    absolute value.
-    """
-
-    numerator: int
-    denominator: int
-    sign: int
-    digits: tuple
-
-    def reconstruct(self) -> Fraction:
-        value = Fraction(self.digits[-1])
-        for d in reversed(self.digits[:-1]):
-            value = d + 1 / value
-        return self.sign * value
-
-
-def continued_fraction(a: int, b: int) -> ContinuedFraction:
-    """Euclidean-algorithm continued fraction of a/b (canonical form:
-    the last digit is >= 2 whenever there is more than one digit)."""
-    if b == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    if b < 0:
-        a, b = -a, -b
-    sign = -1 if a < 0 else 1
-    a = abs(a)
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    num, den = a, b
-    digits = []
-    while den:
-        digits.append(num // den)
-        num, den = den, num % den
-    return ContinuedFraction(a, b, sign, tuple(digits))
-
-
-def minsky_bound_proxy(m: IntMatrix) -> Fraction:
-    """Upper-bound proxy for the systole of the mapping torus of an
-    SL(2, Z) monodromy: 1 / (max continued-fraction digit of a/b)^2."""
-    if m.dim != 2:
-        raise ValueError("need a 2x2 matrix")
-    if det(m) != 1:
-        raise ValueError("need det = 1")
-    a, b = m[0, 0], m[0, 1]
-    if b == 0:
-        raise ZeroDivisionError(
-            "b = 0: bound undefined (reducible-looking monodromy)")
-    cf = continued_fraction(a, b)
-    top = max(cf.digits)
-    if top == 0:
-        top = 1
-    return Fraction(1, top * top)
-
-
-def longest_run(word: Word, letter: int) -> int:
-    """Maximal length of a consecutive block of the given letter."""
-    return longest_run_in(word.letters, letter)
+from .walker import derive_seed
 
 
 def longest_run_in(letters, letter: int) -> int:
+    """Maximal length of a consecutive block of the given letter."""
     best = 0
     current = 0
     for x in letters:
@@ -107,8 +38,11 @@ def run_scaling_experiment(alphabet_size: int, lengths, samples: int,
                            seed: int) -> RunScalingResult:
     """Monte Carlo means of the longest run of letter 0 in uniform words,
     with an a + b*log(n) regression."""
-    if alphabet_size < 2:
-        raise ValueError("need alphabet size >= 2")
+    lengths = list(lengths)
+    if alphabet_size < 2 or samples < 1 or not lengths or min(lengths) < 1:
+        raise ValueError("punctured needs alphabet >= 2, samples >= 1 and "
+                         "lengths >= 1, got alphabet %d, samples %d and "
+                         "lengths %r" % (alphabet_size, samples, lengths))
     rows = []
     for n in lengths:
         total = 0

@@ -1,5 +1,5 @@
-"""Descriptive statistics, OLS regression, histogram/QQ data, and the
-exact law of mod-p ranks under a walk, for mod-p equidistribution checks.
+"""Descriptive statistics, OLS regression, and the exact law of mod-p
+ranks under a walk, for mod-p equidistribution checks.
 
 Quantiles are nearest-rank (no interpolation) so summaries are exactly
 reproducible.  The predicted rank law is that of the walk that is sampled,
@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 
@@ -71,42 +70,6 @@ def linear_fit(x, y) -> LinearFit:
     slope = sxy / sxx
     r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
     return LinearFit(slope, my - slope * mx, r2)
-
-
-def histogram(samples, bin_count: int):
-    """Equal-width bins over [min, max], rightmost bin closed.
-    Returns a list of (bin lower edge, count)."""
-    xs = [float(x) for x in samples]
-    if not xs:
-        raise ValueError("empty input")
-    if bin_count < 1:
-        raise ValueError("need at least one bin")
-    lo, hi = min(xs), max(xs)
-    width = (hi - lo) / bin_count
-    counts = [0] * bin_count
-    for x in xs:
-        if width == 0:
-            idx = 0
-        else:
-            idx = min(int((x - lo) / width), bin_count - 1)
-        counts[idx] += 1
-    return [(lo + i * width, counts[i]) for i in range(bin_count)]
-
-
-def qq_points(samples):
-    """Sorted standardized samples vs normal quantiles at (i - 0.5)/n."""
-    xs = sorted(float(x) for x in samples)
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two samples")
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
-    if var == 0:
-        raise ValueError("zero variance")
-    sd = var ** 0.5
-    nd = NormalDist()
-    return [(nd.inv_cdf((i + 0.5) / n), (x - mean) / sd)
-            for i, x in enumerate(xs)]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ run reproduces the same numbers.
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -276,7 +277,7 @@ def test_criterion_13_manifest_determinism(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr().out.strip().splitlines()
         csv2 = out[-2]
         assert code == 0
-        same = open(csv1).read() == open(csv2).read()
+        same = Path(csv1).read_text() == Path(csv2).read_text()
         ok = ok and same
         details.append("%s=%s" % (argv[0], "ok" if same else "DIFF"))
     _report("manifest-determinism", ok, " ".join(details))

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -53,11 +54,11 @@ def test_torsion_stats_writes_csv_and_manifest(tmp_path, capsys):
         "--out", str(tmp_path)])
     assert code == 0
     csv_path, manifest_path = out
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "length,sample_index,log_torsion,betti,singular"
     assert len(lines) == 1 + 2 * 3
     assert lines[1].startswith("50,0,")
-    manifest = json.loads(open(manifest_path).read())
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["command"] == "torsion-stats"
     assert manifest["config"]["samples"] == 3
     assert set(manifest["per_length"]) == {"50", "100"}
@@ -74,7 +75,7 @@ def test_manifest_rerun_reproduces_csv(tmp_path, capsys):
     code, paths2 = _run(capsys, [
         "torsion-stats", "--config", paths[1], "--out", str(out2)])
     assert code == 0
-    assert open(paths[0]).read() == open(paths2[0]).read()
+    assert Path(paths[0]).read_text() == Path(paths2[0]).read_text()
 
 
 def test_modp_rank_with_oracle_table(tmp_path, capsys):
@@ -83,10 +84,10 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
         "--lengths", "60", "--samples", "20", "--seed", "4",
         "--primes", "2,3", "--mode", "symmetric", "--out", str(tmp_path)])
     assert code == 0
-    lines = open(out[0]).read().splitlines()
+    lines = Path(out[0]).read_text().splitlines()
     assert lines[0] == "length,sample_index,p,fp_rank"
     assert len(lines) == 1 + 20 * 2
-    manifest = json.loads(open(out[1]).read())
+    manifest = json.loads(Path(out[1]).read_text())
     tables = manifest["rank_tables"]
     assert set(tables) == {"2", "3"}
     # genus 2 mod 2 has an exact enumerated prediction; mod 3 does not
@@ -101,7 +102,7 @@ def _hua_reiner_rank_table(tmp_path, capsys, n):
         "--lengths", "20", "--samples", "5", "--seed", "1",
         "--primes", "2", "--out", str(tmp_path)])
     assert code == 0
-    return json.loads(open(out[1]).read())["rank_tables"]["2"]
+    return json.loads(Path(out[1]).read_text())["rank_tables"]["2"]
 
 
 def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
@@ -134,9 +135,9 @@ def test_heegaard_outputs(tmp_path, capsys):
         "--lengths", "50:100:50", "--samples", "5", "--seed", "2",
         "--out", str(tmp_path)])
     assert code == 0
-    lines = open(out[0]).read().splitlines()
+    lines = Path(out[0]).read_text().splitlines()
     assert lines[0] == "length,sample_index,log_h1,betti,complexity_lower_bound"
-    manifest = json.loads(open(out[1]).read())
+    manifest = json.loads(Path(out[1]).read_text())
     assert manifest["genus"] == 2
     # too few samples at the top length for diagnostics
     assert manifest["clt_diagnostics"] is None
@@ -156,10 +157,10 @@ def test_lyapunov_outputs(tmp_path, capsys):
         "--steps", "200", "--trials", "2", "--seed", "3",
         "--out", str(tmp_path)])
     assert code == 0
-    lines = open(out[0]).read().splitlines()
+    lines = Path(out[0]).read_text().splitlines()
     assert lines[0] == "exponent_index,value,standard_error"
     assert len(lines) == 5
-    manifest = json.loads(open(out[1]).read())
+    manifest = json.loads(Path(out[1]).read_text())
     assert len(manifest["exponents"]) == 4
     assert manifest["exponents"] == sorted(manifest["exponents"], reverse=True)
 
@@ -167,11 +168,11 @@ def test_lyapunov_outputs(tmp_path, capsys):
 def test_prescribe_outputs(tmp_path, capsys):
     code, out = _run(capsys, ["prescribe", "2,6", "--out", str(tmp_path)])
     assert code == 0
-    manifest = json.loads(open(out[1]).read())
+    manifest = json.loads(Path(out[1]).read_text())
     assert manifest["matrix"] == [[-13, 2], [-20, 3]]
     assert manifest["verification"] is True
     assert manifest["snf_of_m_minus_i"] == [2, 6]
-    lines = open(out[0]).read().splitlines()
+    lines = Path(out[0]).read_text().splitlines()
     assert lines[0] == "row,c0,c1"
     assert lines[1] == "0,-13,2"
 
@@ -188,10 +189,10 @@ def test_punctured_outputs(tmp_path, capsys):
         "punctured", "--alphabet", "2", "--lengths", "64,256",
         "--samples", "5", "--seed", "8", "--out", str(tmp_path)])
     assert code == 0
-    lines = open(out[0]).read().splitlines()
+    lines = Path(out[0]).read_text().splitlines()
     assert lines[0] == "length,mean_longest_run"
     assert len(lines) == 3
-    manifest = json.loads(open(out[1]).read())
+    manifest = json.loads(Path(out[1]).read_text())
     assert manifest["fit_vs_log_length"]["slope"] > 0
 
 
@@ -200,8 +201,8 @@ def test_snf_outputs(tmp_path, capsys):
     mat.write_text("2\n2 4\n6 8\n")
     code, out = _run(capsys, ["snf", str(mat), "--out", str(tmp_path)])
     assert code == 0
-    assert open(out[0]).read() == "divisor\n2\n4\n"
-    manifest = json.loads(open(out[1]).read())
+    assert Path(out[0]).read_text() == "divisor\n2\n4\n"
+    manifest = json.loads(Path(out[1]).read_text())
     assert manifest["divisors"] == [2, 4]
 
 
@@ -231,7 +232,7 @@ def test_json_format_output(tmp_path, capsys):
         "--format", "json", "--out", str(tmp_path)])
     assert code == 0
     assert out[0].endswith(".json")
-    records = json.loads(open(out[0]).read())
+    records = json.loads(Path(out[0]).read_text())
     assert len(records) == 2
     assert set(records[0]) == {"length", "sample_index", "log_torsion",
                                "betti", "singular"}
@@ -308,6 +309,7 @@ def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
 @pytest.mark.parametrize("text, bad", [
     ("[1, 2]", "must hold a JSON object, got list"),
     ("3", "must hold a JSON object, got int"),
+    ('{"primes": [2', "is not valid JSON: Expecting ',' delimiter"),
 ])
 def test_config_file_must_be_a_json_object(tmp_path, capsys, text, bad):
     path = tmp_path / "config.json"

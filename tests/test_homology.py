@@ -26,6 +26,12 @@ def test_divisor_chain_invariants():
         DivisorChain((-1,))
 
 
+@pytest.mark.parametrize("divisors", [(2, 6.5), (2, 6.0), (2, "6"), (None,)])
+def test_divisor_chain_rejects_non_integers(divisors):
+    with pytest.raises(ValueError, match="divisors must be integers"):
+        DivisorChain(divisors)
+
+
 def test_snf_examples():
     assert smith_normal_form(identity(2)).divisors == (1, 1)
     assert smith_normal_form(IntMatrix(((2, 4), (6, 8)))).divisors == (2, 4)

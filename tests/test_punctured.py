@@ -1,6 +1,4 @@
 import math
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,71 +6,8 @@ from hypothesis import strategies as st
 
 from oracles import longest_run_rescan
 from symwalk.generators import hua_reiner
-from symwalk.intmat import IntMatrix
-from symwalk.punctured import (ContinuedFraction, continued_fraction,
-                               longest_run, longest_run_in,
-                               minsky_bound_proxy, run_scaling_experiment)
+from symwalk.punctured import longest_run_in, run_scaling_experiment
 from symwalk.walker import Word, sample_word
-
-
-def test_continued_fraction_examples():
-    assert continued_fraction(13, 5).digits == (2, 1, 1, 2)
-    assert continued_fraction(1, 3).digits == (0, 3)
-    assert continued_fraction(7, 1).digits == (7,)
-    assert continued_fraction(-13, 5).sign == -1
-    assert continued_fraction(-13, 5).digits == (2, 1, 1, 2)
-
-
-def test_continued_fraction_normalizes():
-    cf = continued_fraction(26, 10)
-    assert (cf.numerator, cf.denominator) == (13, 5)
-    cf = continued_fraction(13, -5)
-    assert cf.sign == -1
-    assert (cf.numerator, cf.denominator) == (13, 5)
-    with pytest.raises(ZeroDivisionError):
-        continued_fraction(1, 0)
-
-
-def test_continued_fraction_canonical_last_digit():
-    # Euclid never emits a trailing 1 (except for the single digit case)
-    for a in range(-30, 31):
-        for b in range(1, 30):
-            cf = continued_fraction(a, b)
-            if len(cf.digits) > 1:
-                assert cf.digits[-1] >= 2
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
-def test_continued_fraction_reconstructs(a, b):
-    cf = continued_fraction(a, b)
-    assert cf.reconstruct() == Fraction(a, b)
-
-
-def test_minsky_bound_examples():
-    # [[13, 5], [5, 2]]: cf(13/5) = (2,1,1,2), max digit 2
-    m = IntMatrix(((13, 5), (5, 2)))
-    assert minsky_bound_proxy(m) == Fraction(1, 4)
-    # [[2, 1], [1, 1]]: cf(2/1) = (2,)
-    assert minsky_bound_proxy(IntMatrix(((2, 1), (1, 1)))) == Fraction(1, 4)
-    # max digit 0 is guarded to 1: a = 0 case
-    assert minsky_bound_proxy(IntMatrix(((0, -1), (1, 0)))) == Fraction(1, 1)
-
-
-def test_minsky_bound_validation():
-    with pytest.raises(ValueError):
-        minsky_bound_proxy(IntMatrix(((2, 0, 0), (0, 1, 0), (0, 0, 1))))
-    with pytest.raises(ValueError):
-        minsky_bound_proxy(IntMatrix(((2, 0), (0, 1))))      # det 2
-    with pytest.raises(ZeroDivisionError):
-        minsky_bound_proxy(IntMatrix(((1, 0), (5, 1))))      # b = 0
-
-
-def test_minsky_bound_orders_by_digit_size():
-    # bigger continued-fraction digits => smaller bound
-    small_digits = IntMatrix(((2, 1), (1, 1)))
-    big_digits = IntMatrix(((10, 1), (9, 1)))      # cf(10/1) = (10,)
-    assert minsky_bound_proxy(big_digits) < minsky_bound_proxy(small_digits)
 
 
 def test_longest_run_examples():
@@ -81,8 +16,8 @@ def test_longest_run_examples():
     assert longest_run_in((), 0) == 0
     fam = hua_reiner(2)
     w = Word(fam, (0, 0, 1, 0))
-    assert longest_run(w, 0) == 2
-    assert longest_run(w, 1) == 1
+    assert longest_run_in(w.letters, 0) == 2
+    assert longest_run_in(w.letters, 1) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +30,7 @@ def test_longest_run_matches_rescan_oracle(letters, letter):
 def test_longest_run_on_sampled_words_is_plausible():
     fam = hua_reiner(2)
     w = sample_word(fam, 2 ** 12, 5)
-    r = longest_run(w, 0)
+    r = longest_run_in(w.letters, 0)
     # expected ~ log2(n) = 12; enormous slack either way
     assert 5 <= r <= 40
 
@@ -121,3 +56,16 @@ def test_run_scaling_single_length_has_no_fit():
     res = run_scaling_experiment(2, [128], samples=5, seed=0)
     assert res.fit is None
     assert len(res.rows) == 1
+
+
+@pytest.mark.parametrize("alphabet, lengths, samples, bad", [
+    (1, [128], 1, "alphabet 1"),
+    (2, [0], 5, "[0]"),
+    (2, [64, -1], 5, "[64, -1]"),
+    (2, [], 5, "[]"),
+    (2, [4], 0, "samples 0"),
+])
+def test_run_scaling_experiment_validation(alphabet, lengths, samples, bad):
+    with pytest.raises(ValueError, match="punctured needs") as info:
+        run_scaling_experiment(alphabet, lengths, samples, seed=1)
+    assert bad in str(info.value)

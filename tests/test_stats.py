@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -11,8 +10,8 @@ from symwalk.generators import (custom_family, hru5, hua_reiner,
 from symwalk.homology import fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (QUANTILE_LEVELS, RankTable, _closure_mod_p,
-                           empirical_rank_table, histogram, linear_fit,
-                           qq_points, summarize, walk_rank_law)
+                           empirical_rank_table, linear_fit, summarize,
+                           walk_rank_law)
 from symwalk.walker import derive_seed, make_sample
 
 
@@ -67,43 +66,6 @@ def test_linear_fit_validation():
         linear_fit([1, 2], [2, 3, 4])
     with pytest.raises(ValueError):
         linear_fit([2, 2, 2], [1, 2, 3])
-
-
-def test_histogram_counts():
-    h = histogram([0.0, 0.5, 1.0, 1.5, 2.0], 2)
-    assert h == [(0.0, 2), (1.0, 3)]
-    # all-equal samples collapse into the first bin
-    h = histogram([4.0, 4.0, 4.0], 3)
-    assert h[0] == (4.0, 3)
-    assert sum(c for _, c in h) == 3
-    with pytest.raises(ValueError):
-        histogram([], 2)
-    with pytest.raises(ValueError):
-        histogram([1.0], 0)
-
-
-def test_histogram_rightmost_bin_closed():
-    h = histogram([0.0, 1.0], 4)
-    assert h[-1][1] == 1
-    assert h[0][1] == 1
-
-
-def test_qq_points_standardized_and_monotone():
-    rng = random.Random(1)
-    xs = [rng.gauss(10, 3) for _ in range(500)]
-    pts = qq_points(xs)
-    assert len(pts) == 500
-    theo = [t for t, _ in pts]
-    emp = [e for _, e in pts]
-    assert theo == sorted(theo)
-    assert emp == sorted(emp)
-    # standardized normal data should hug the diagonal
-    worst = max(abs(t - e) for t, e in pts[25:-25])
-    assert worst < 0.3
-    with pytest.raises(ValueError):
-        qq_points([1.0])
-    with pytest.raises(ValueError):
-        qq_points([2.0, 2.0])
 
 
 def test_rank_table_total_variation():

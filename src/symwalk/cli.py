@@ -27,18 +27,19 @@ import traceback
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .generators import POSITIVE, SYMMETRIC, make_family
+from .generators import make_family
 from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
                        heegaard_homology, smith_normal_form, torsion_order)
 # Not called here (torsion_order computes it for singular samples), but
 # bench/child.py traces both under their cli names.
 from .homology import mapping_torus_homology  # noqa: F401
-from .intmat import IntMatrix, NotPrimeError, identity, is_prime
+from .intmat import (IntMatrix, NotPrimeError, SymplecticForm, identity,
+                     is_prime, is_symplectic)
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
 from .stats import empirical_rank_table, linear_fit, summarize, walk_rank_law
-from .walker import BatchConfig, run_batch
+from .walker import POSITIVE, SYMMETRIC, BatchConfig, run_batch
 
 exhaustive_sp2_oracle = walk_rank_law   # the name bench/child.py traces
 
@@ -235,16 +236,17 @@ def cmd_modp_rank(cfg):
 
 def cmd_heegaard(cfg):
     batch, fam = _batch_config(cfg)
-    if fam.form != "J":
+    g, odd = divmod(fam.dim, 2)
+    if odd or not all(is_symplectic(m, SymplecticForm(g))
+                      for m in fam.matrices):
         raise ConfigError("heegaard needs a symplectic family")
-    g = fam.dim // 2
     rows = [key + record for key, record in
             run_batch_indexed(batch, _HeegaardRecord(g))]
     groups = _column_by_length(rows, HEEGAARD_COLUMNS, "log_h1")
     top = max(batch.length_values())
     top_samples = groups.get(top, [])
     diagnostics = None
-    if len(top_samples) >= 30:
+    if len(top_samples) >= 30 and len(set(top_samples)) > 1:
         diagnostics = asdict(clt_diagnostics(top_samples))
     return rows, dict(_length_summaries(groups), genus=g,
                       clt_diagnostics_at_length=top,

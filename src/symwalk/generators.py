@@ -15,20 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import (IntMatrix, SymplecticForm, det, identity, inverse,
-                     is_symplectic, mat_mul)
-
-POSITIVE = "positive-only"
-SYMMETRIC = "symmetric"
+from .intmat import IntMatrix, det, inverse, mat_mul
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """An ordered, deduplicated list of integer matrix generators.
-
-    ``group`` is a display tag like ``Sp(4)`` or ``SL(3)``.  ``form`` records
-    which multiple of the standard symplectic form (if any) every member
-    preserves: "J", "-J" (members each preserve J or -J), or None.
+    """An ordered, deduplicated list of integer matrix generators, each of
+    determinant 1.
 
     ``actions[k]`` is how member k acts on a product from the right: one
     ``(j, ((i, c), ...))`` per column j where the member differs from the
@@ -37,10 +30,7 @@ class GeneratorFamily:
     """
 
     name: str
-    group: str
     matrices: tuple
-    mode: str = POSITIVE
-    form: str | None = field(default=None)
     actions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -52,7 +42,6 @@ class GeneratorFamily:
                 raise ValueError("all generators must share one dimension")
             if det(m) != 1:
                 raise ValueError("generator has determinant != 1")
-        object.__setattr__(self, "form", _discover_form(self.matrices))
         object.__setattr__(self, "actions",
                            tuple(_column_action(m) for m in self.matrices))
 
@@ -62,26 +51,6 @@ class GeneratorFamily:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-
-def _discover_form(matrices) -> str | None:
-    """Check empirically whether every generator preserves the standard
-    form J up to sign.  Returns "J", "-J", or None."""
-    dim = matrices[0].dim
-    if dim % 2 != 0:
-        return None
-    j = SymplecticForm(dim // 2).matrix
-    neg_j = -j
-    all_plus = True
-    for m in matrices:
-        mjm = mat_mul(mat_mul(m.transpose(), j), m)
-        if mjm == j:
-            continue
-        if mjm == neg_j:
-            all_plus = False
-            continue
-        return None
-    return "J" if all_plus else "-J"
 
 
 def _column_action(m: IntMatrix) -> tuple:
@@ -135,7 +104,7 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
               + [birman_y(g, 1), birman_y(g, 2)]):
         if m not in seen:
             seen.append(m)
-    return GeneratorFamily("humphries", "Sp(%d)" % (2 * g), tuple(seen))
+    return GeneratorFamily("humphries", tuple(seen))
 
 
 def hru2(n: int) -> IntMatrix:
@@ -154,7 +123,7 @@ def hua_reiner(n: int) -> GeneratorFamily:
     """The two Hua-Reiner generators of SL(n, Z)."""
     if n < 2:
         raise ValueError("hua-reiner family needs n >= 2, got %d" % n)
-    return GeneratorFamily("hua-reiner", "SL(%d)" % n, (hru2(n), hru5(n)))
+    return GeneratorFamily("hua-reiner", (hru2(n), hru5(n)))
 
 
 def stanek_r21(n: int) -> IntMatrix:
@@ -170,10 +139,8 @@ def stanek_tk(n: int, k: int) -> IntMatrix:
 
 def stanek_dd(n: int) -> IntMatrix:
     rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n + 1):
-        j = i + 1
-        if j - i == 1 and (i < n or (n + 1 <= i < 2 * n)):
-            rows[i - 1][j - 1] = 1
+    for i in range(2 * n - 1):
+        rows[i][i + 1] = 1
     rows[n - 1][n] = -1
     rows[2 * n - 1][0] = 1
     return IntMatrix(tuple(tuple(r) for r in rows))
@@ -184,30 +151,26 @@ def stanek(n: int) -> GeneratorFamily:
     if n < 1:
         raise ValueError("stanek family needs n >= 1, got %d" % n)
     if n == 1:
-        fam = hua_reiner(2)
-        return GeneratorFamily("stanek", "Sp(2)", fam.matrices)
+        return GeneratorFamily("stanek", hua_reiner(2).matrices)
     if n in (2, 3):
         mats = (stanek_r21(n), stanek_tk(n, 1), stanek_dd(n))
     else:
         mats = (mat_mul(stanek_r21(n), stanek_tk(n, 1)), stanek_dd(n))
-    return GeneratorFamily("stanek", "Sp(%d)" % (2 * n), mats)
+    return GeneratorFamily("stanek", mats)
 
 
-def custom_family(matrices, group: str = "custom") -> GeneratorFamily:
-    return GeneratorFamily("custom", group, tuple(matrices))
+def custom_family(matrices) -> GeneratorFamily:
+    return GeneratorFamily("custom", tuple(matrices))
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
     """Extend a family by the exact inverses of its members, deduplicated."""
     mats = list(fam.matrices)
     for m in fam.matrices:
-        d = det(m)
-        if d not in (1, -1):
-            raise ValueError("generator with det %d has no integer inverse" % d)
         inv = inverse(m)
         if inv not in mats:
             mats.append(inv)
-    return GeneratorFamily(fam.name, fam.group, tuple(mats), mode=SYMMETRIC)
+    return GeneratorFamily(fam.name, tuple(mats))
 
 
 def make_family(name: str, param: int) -> GeneratorFamily:

@@ -5,18 +5,21 @@ are drifts of log singular values, estimated by evolving an orthonormal
 frame in double precision with periodic re-orthonormalization.  Exact
 arithmetic lives in the homology pipeline; agreement between the two is
 checked by the acceptance suite, not assumed here.
+
+Each trial draws its letters from its own seeded stream
+(``walker.letters``), so the trials can evolve together as one stack and
+still equal a one-trial-at-a-time loop exactly.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import GeneratorFamily
-from .walker import derive_seed
+from .walker import derive_seed, letters
 
 RENORM_EVERY = 10
 BURN_IN = 100
@@ -61,10 +64,13 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
     gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
     k, dim = gens.shape[:2]
     seeds = [derive_seed(seed, steps, t) for t in range(trials)]
-    draws = [random.Random(s).randrange for s in seeds]
+    rows = np.empty((trials, BURN_IN + steps), np.min_scalar_type(k - 1))
+    for t, s in enumerate(seeds):
+        rows[t] = letters(s, k, BURN_IN + steps)
+    columns = iter(rows.T)                  # one letter per trial per step
 
     def apply_letters(frames):
-        return gens[[draw(k) for draw in draws]] @ frames
+        return gens[next(columns)] @ frames
 
     frames = np.tile(np.eye(dim), (trials, 1, 1))
     for _ in range(BURN_IN):

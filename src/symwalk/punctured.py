@@ -7,11 +7,10 @@ and the scaling experiment measures exactly that.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .stats import LinearFit, linear_fit
-from .walker import derive_seed
+from .walker import derive_seed, letters
 
 
 def longest_run_in(letters, letter: int) -> int:
@@ -43,13 +42,13 @@ def run_scaling_experiment(alphabet_size: int, lengths, samples: int,
         raise ValueError("punctured needs alphabet >= 2, samples >= 1 and "
                          "lengths >= 1, got alphabet %d, samples %d and "
                          "lengths %r" % (alphabet_size, samples, lengths))
+    if len(set(lengths)) < len(lengths):
+        raise ValueError("punctured needs distinct lengths, got %r" % lengths)
     rows = []
     for n in lengths:
-        total = 0
-        for j in range(samples):
-            rng = random.Random(derive_seed(seed, n, j))
-            total += longest_run_in(
-                (rng.randrange(alphabet_size) for _ in range(n)), 0)
+        total = sum(longest_run_in(letters(derive_seed(seed, n, j),
+                                           alphabet_size, n), 0)
+                    for j in range(samples))
         rows.append((n, total / samples))
     fit = None
     if len(rows) >= 2:

@@ -1,9 +1,8 @@
-"""Descriptive statistics, OLS regression, and the exact law of mod-p
-ranks under a walk, for mod-p equidistribution checks.
+"""Per-length summaries (count, mean, variance), OLS regression, and the
+exact law of mod-p ranks under a walk, for mod-p equidistribution checks.
 
-Quantiles are nearest-rank (no interpolation) so summaries are exactly
-reproducible.  The predicted rank law is that of the walk that is sampled,
-cosets and periodicity included, not the uniform law on some group.
+The predicted rank law is that of the walk that is sampled, cosets and
+periodicity included, not the uniform law on some group.
 """
 
 from __future__ import annotations
@@ -18,32 +17,23 @@ import numpy as np
 from .homology import fp_rank
 from .intmat import IntMatrix, NotPrimeError, is_prime
 
-QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
-
 
 @dataclass(frozen=True)
 class StatSummary:
     count: int
     mean: float
     variance: float
-    min: float
-    max: float
-    quantiles: dict
 
 
 def summarize(samples) -> StatSummary:
-    """Two-pass mean/variance plus nearest-rank quantiles."""
+    """Two-pass mean and sample variance, summed in ascending order."""
     xs = sorted(float(x) for x in samples)
     n = len(xs)
     if n == 0:
         raise ValueError("empty input")
     mean = sum(xs) / n
     var = sum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
-    quantiles = {}
-    for q in QUANTILE_LEVELS:
-        rank = max(1, -(-q * n // 100))        # ceil(q*n/100), at least 1
-        quantiles[q] = xs[rank - 1]
-    return StatSummary(n, mean, var, xs[0], xs[-1], quantiles)
+    return StatSummary(n, mean, var)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Reproducibility contract: every sample of a batch gets its own seed,
 derived by mixing (master_seed, word_length, sample_index) through a
 splitmix64-style hash, so the batch is embarrassingly parallel and the
-output stream is a pure function of the config.
+output stream is a pure function of the config.  Every sampler in the
+package -- words here, Lyapunov trials and longest runs -- turns a seed
+into letters through ``letters`` alone.
 
 Products apply each letter through its generator's column action
 (``GeneratorFamily.actions``): the running product is a list of columns,
@@ -19,9 +21,11 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .generators import (POSITIVE, SYMMETRIC, GeneratorFamily, make_family,
-                         symmetric_closure)
+from .generators import GeneratorFamily, make_family, symmetric_closure
 from .intmat import IntMatrix
+
+POSITIVE = "positive-only"      # walk modes: the family as named, or it
+SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
 
@@ -39,6 +43,13 @@ def derive_seed(master_seed: int, length: int, index: int) -> int:
     s = splitmix64(s ^ ((length & _MASK) * 0xD1342543DE82EF95 & _MASK))
     s = splitmix64(s ^ ((index & _MASK) * 0xDABA0B6EB09322E3 & _MASK))
     return s
+
+
+def letters(seed: int, k: int, length: int) -> list:
+    """The first ``length`` letters of the uniform stream over ``k``
+    letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each."""
+    draw = random.Random(seed).randrange
+    return [draw(k) for _ in range(length)]
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,7 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     """Uniform i.i.d. letters over the family, deterministic in the seed."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    k = len(family)
-    rng = random.Random(seed)
-    return Word(family, tuple(rng.randrange(k) for _ in range(length)))
+    return Word(family, tuple(letters(seed, len(family), length)))
 
 
 def word_product(word: Word) -> IntMatrix:

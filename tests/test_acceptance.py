@@ -6,7 +6,6 @@ human-readable scorecard.  Tolerances are fixed; seeds are fixed so every
 run reproduces the same numbers.
 """
 
-import json
 import math
 import random
 from pathlib import Path
@@ -19,10 +18,9 @@ from symwalk.generators import humphries_symplectic, stanek
 from symwalk.homology import (DivisorChain, fp_rank, heegaard_homology,
                               mapping_torus_homology, smith_normal_form,
                               torsion_order)
-from symwalk.intmat import IntMatrix, SymplecticForm, identity, is_symplectic
+from symwalk.intmat import IntMatrix, identity
 from symwalk.lyapunov import clt_diagnostics, estimate_exponents
-from symwalk.prescribe import (prescribe_symplectic, sl2_block,
-                               verify_prescription)
+from symwalk.prescribe import prescribe_symplectic, verify_prescription
 from symwalk.punctured import run_scaling_experiment
 from symwalk.stats import empirical_rank_table, linear_fit, walk_rank_law
 from symwalk.walker import BatchConfig, derive_seed, make_sample, run_batch

@@ -143,6 +143,18 @@ def test_heegaard_outputs(tmp_path, capsys):
     assert manifest["clt_diagnostics"] is None
 
 
+def test_heegaard_constant_top_length_has_no_diagnostics(tmp_path, capsys):
+    # every genus-2 Humphries generator gives trivial torsion, so all 30
+    # log_h1 at length 1 are 0 and have no CLT shape to diagnose
+    code, out = _run(capsys, [
+        "heegaard", "--lengths", "1", "--samples", "30",
+        "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads(Path(out[1]).read_text())
+    assert manifest["per_length"]["1"]["variance"] == 0.0
+    assert manifest["clt_diagnostics"] is None
+
+
 def test_heegaard_rejects_nonsymplectic_family(tmp_path, capsys):
     code, _ = _run(capsys, [
         "heegaard", "--family", "hua-reiner", "--n", "3",
@@ -257,6 +269,7 @@ def test_json_format_output(tmp_path, capsys):
     (["punctured", "--alphabet", "1"], "alphabet 1"),
     (["punctured", "--samples", "0"], "samples 0"),
     (["punctured", "--lengths", "64,0"], "[64, 0]"),
+    (["punctured", "--lengths", "64,64"], "distinct lengths, got [64, 64]"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])

@@ -7,8 +7,7 @@ import pytest
 from oracles import lyapunov_one_trial_at_a_time
 from symwalk.generators import custom_family, humphries_symplectic, make_family
 from symwalk.intmat import IntMatrix
-from symwalk.lyapunov import (CltDiagnostics, FrameCollapseError,
-                              LyapunovEstimate, clt_diagnostics,
+from symwalk.lyapunov import (FrameCollapseError, clt_diagnostics,
                               estimate_exponents, normal_cdf)
 from symwalk.walker import derive_seed
 

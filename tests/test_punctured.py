@@ -64,6 +64,7 @@ def test_run_scaling_single_length_has_no_fit():
     (2, [64, -1], 5, "[64, -1]"),
     (2, [], 5, "[]"),
     (2, [4], 0, "samples 0"),
+    (2, [64, 128, 64], 5, "distinct lengths, got [64, 128, 64]"),
 ])
 def test_run_scaling_experiment_validation(alphabet, lengths, samples, bad):
     with pytest.raises(ValueError, match="punctured needs") as info:

@@ -10,7 +10,19 @@ from symwalk.generators import (custom_family, hru5, hua_reiner,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
 from symwalk.walker import (BatchConfig, BatchError, Word, derive_seed,
-                            make_sample, run_batch, sample_word, word_product)
+                            letters, make_sample, run_batch, sample_word,
+                            word_product)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 10, 12])
+def test_letters_is_the_randrange_stream(k):
+    # every sampler draws through letters(); a faster body must keep
+    # exactly this stream, or every CSV changes
+    for seed in (0, 1, 20240817, 2 ** 63 + 12345, 2 ** 64 - 1):
+        for length in (1, 2, 3, 31, 32, 33, 500, 16384):
+            draw = random.Random(seed).randrange
+            assert letters(seed, k, length) == [draw(k) for _ in
+                                                range(length)]
 
 
 def test_single_generator_word_is_constant():

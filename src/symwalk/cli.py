@@ -360,9 +360,7 @@ _BATCH_FLAGS = _FAMILY_FLAGS + (
           help="start:end:step"),
     _flag(("--samples",), "samples", type=int),
     _flag(("--seed",), "seed", type=int),
-    _flag(("--mode",), "mode",
-          lambda t: SYMMETRIC if t == "symmetric" else POSITIVE,
-          choices=[POSITIVE.split("-")[0], "symmetric"]),
+    _flag(("--mode",), "mode", choices=["positive", SYMMETRIC]),
 )
 
 
@@ -491,6 +489,8 @@ def _merge_config(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = convert(value) if convert else value
+    if cfg.get("mode") == "positive":   # from the flag or a config file
+        cfg["mode"] = POSITIVE          # the name manifests record
     _check_ints(cfg)
     return cfg
 

@@ -9,22 +9,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .stats import LinearFit, linear_fit
-from .walker import derive_seed, letters
+from .walker import LETTER_BOUND, derive_seed, letters
 
 
 def longest_run_in(letters, letter: int) -> int:
     """Maximal length of a consecutive block of the given letter."""
-    best = 0
-    current = 0
-    for x in letters:
-        if x == letter:
-            current += 1
-            if current > best:
-                best = current
-        else:
-            current = 0
-    return best
+    where = np.flatnonzero(np.asarray(letters) == letter)
+    # a run ends wherever the next position of the letter is not adjacent;
+    # with no such position the one "run" is empty
+    ends = np.concatenate(([-1], np.flatnonzero(np.diff(where) != 1),
+                           [where.size - 1]))
+    return int(np.diff(ends).max())
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,10 @@ def run_scaling_experiment(alphabet_size: int, lengths, samples: int,
     """Monte Carlo means of the longest run of letter 0 in uniform words,
     with an a + b*log(n) regression."""
     lengths = list(lengths)
-    if alphabet_size < 2 or samples < 1 or not lengths or min(lengths) < 1:
-        raise ValueError("punctured needs alphabet >= 2, samples >= 1 and "
-                         "lengths >= 1, got alphabet %d, samples %d and "
+    if (not 2 <= alphabet_size < LETTER_BOUND or samples < 1 or not lengths
+            or min(lengths) < 1):
+        raise ValueError("punctured needs 2 <= alphabet < 2**32, samples >= 1 "
+                         "and lengths >= 1, got alphabet %d, samples %d and "
                          "lengths %r" % (alphabet_size, samples, lengths))
     if len(set(lengths)) < len(lengths):
         raise ValueError("punctured needs distinct lengths, got %r" % lengths)

@@ -7,6 +7,17 @@ output stream is a pure function of the config.  Every sampler in the
 package -- words here, Lyapunov trials and longest runs -- turns a seed
 into letters through ``letters`` alone.
 
+``letters`` is the ``random.Random(seed).randrange(k)`` stream, replayed
+in bulk from the raw MT19937 output (Matsumoto--Nishimura 1998) that
+``randrange`` reads.  This rests on CPython's ``_randbelow`` (checked on
+3.10 and 3.11): ``randrange(k)`` is ``getrandbits(b)`` with
+``b = k.bit_length()``, redrawn while the result is ``>= k``; for
+``b <= 32`` that is the top ``b`` bits of one 32-bit output, and
+``getrandbits(32*m)`` packs ``m`` consecutive outputs little-endian.
+``tests/test_walker.py`` pins the replay against ``randrange`` itself, so
+a change to ``_randbelow`` fails there instead of silently changing every
+CSV.
+
 Products apply each letter through its generator's column action
 (``GeneratorFamily.actions``): the running product is a list of columns,
 and a letter rebuilds only the columns where its generator differs from
@@ -21,6 +32,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .generators import GeneratorFamily, make_family, symmetric_closure
 from .intmat import IntMatrix
 
@@ -28,6 +41,7 @@ POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
+LETTER_BOUND = 1 << 32      # letters replays one 32-bit MT19937 word per draw
 
 
 def splitmix64(x: int) -> int:
@@ -45,11 +59,28 @@ def derive_seed(master_seed: int, length: int, index: int) -> int:
     return s
 
 
-def letters(seed: int, k: int, length: int) -> list:
+def letters(seed: int, k: int, length: int) -> np.ndarray:
     """The first ``length`` letters of the uniform stream over ``k``
-    letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each."""
-    draw = random.Random(seed).randrange
-    return [draw(k) for _ in range(length)]
+    letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each,
+    as an unsigned-integer array.
+
+    The raw 32-bit MT19937 words are drawn in bulk and each keeps its top
+    ``k.bit_length()`` bits, so the replay is exact only for
+    ``1 <= k < 2**32``; other ``k`` raise ``ValueError``."""
+    if not 1 <= k < LETTER_BOUND:
+        raise ValueError("letters needs 1 <= k < 2**32, got k = %d" % k)
+    rng = random.Random(seed)
+    bits = k.bit_length()
+    chunks, have = [np.empty(0, np.uint32)], 0
+    while have < length:
+        # a word is kept with probability k / 2**bits: draw the expected
+        # number of words still needed, plus a margin, and top up if short
+        m = ((length - have) << bits) // k + 64
+        raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = np.frombuffer(raw, "<u4") >> (32 - bits)
+        chunks.append(words[words < k])
+        have += chunks[-1].size
+    return np.concatenate(chunks)[:length]
 
 
 @dataclass(frozen=True)
@@ -61,9 +92,9 @@ class Word:
 
     def __post_init__(self):
         k = len(self.family)
-        for i in self.letters:
-            if not 0 <= i < k:
-                raise ValueError("letter %d out of range for family of %d" % (i, k))
+        if self.letters and (min(self.letters) < 0 or max(self.letters) >= k):
+            bad = next(i for i in self.letters if not 0 <= i < k)
+            raise ValueError("letter %d out of range for family of %d" % (bad, k))
 
     @property
     def length(self) -> int:
@@ -114,7 +145,7 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     """Uniform i.i.d. letters over the family, deterministic in the seed."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    return Word(family, tuple(letters(seed, len(family), length)))
+    return Word(family, tuple(letters(seed, len(family), length).tolist()))
 
 
 def word_product(word: Word) -> IntMatrix:

@@ -270,6 +270,7 @@ def test_json_format_output(tmp_path, capsys):
     (["punctured", "--samples", "0"], "samples 0"),
     (["punctured", "--lengths", "64,0"], "[64, 0]"),
     (["punctured", "--lengths", "64,64"], "distinct lengths, got [64, 64]"),
+    (["punctured", "--alphabet", "4294967296"], "alphabet 4294967296"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])
@@ -278,6 +279,32 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     assert err.startswith("config error:")
     assert bad in err
     assert not os.listdir(tmp_path)
+
+
+def test_mode_is_spelled_alike_in_flag_and_config_file(tmp_path, capsys):
+    # modp-rank walks the symmetric closure by default; "positive" selects
+    # the positive walk from a config file as from the flag, and manifests
+    # record it as "positive-only" either way
+    argv = ["modp-rank", "--family", "hua-reiner", "--n", "3",
+            "--lengths", "20", "--samples", "5", "--primes", "2"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "positive"}))
+    runs = {}
+    for name, extra in (("flag", ["--mode", "positive"]),
+                        ("file", ["--config", str(config)]),
+                        ("default", [])):
+        code, runs[name] = _run(capsys, argv + extra + [
+            "--out", str(tmp_path / name)])
+        assert code == 0
+    data = {name: Path(out[0]).read_bytes() for name, out in runs.items()}
+    assert data["flag"] == data["file"] != data["default"]
+    for name in ("flag", "file"):
+        manifest = json.loads(Path(runs[name][1]).read_text())
+        assert manifest["config"]["mode"] == "positive-only"
+    config.write_text(json.dumps({"mode": "nope"}))
+    code = main(argv + ["--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown mode 'nope'" in capsys.readouterr().err
 
 
 def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):

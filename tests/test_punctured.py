@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import longest_run_rescan
 from symwalk.generators import hua_reiner
 from symwalk.punctured import longest_run_in, run_scaling_experiment
-from symwalk.walker import Word, sample_word
+from symwalk.walker import Word, letters, sample_word
 
 
 def test_longest_run_examples():
@@ -25,6 +25,14 @@ def test_longest_run_examples():
 def test_longest_run_matches_rescan_oracle(letters, letter):
     assert longest_run_in(letters, letter) == \
         longest_run_rescan(letters, letter)
+
+
+@pytest.mark.parametrize("length", [1, 2, 300])
+def test_longest_run_matches_rescan_on_sampled_and_constant_words(length):
+    for word in (letters(length, 3, length), [0] * length, [1] * length):
+        for letter in (0, 1):
+            assert longest_run_in(word, letter) == \
+                longest_run_rescan(word, letter)
 
 
 def test_longest_run_on_sampled_words_is_plausible():
@@ -65,6 +73,7 @@ def test_run_scaling_single_length_has_no_fit():
     (2, [], 5, "[]"),
     (2, [4], 0, "samples 0"),
     (2, [64, 128, 64], 5, "distinct lengths, got [64, 128, 64]"),
+    (2 ** 32, [128], 1, "alphabet 4294967296"),
 ])
 def test_run_scaling_experiment_validation(alphabet, lengths, samples, bad):
     with pytest.raises(ValueError, match="punctured needs") as info:

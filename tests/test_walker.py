@@ -3,6 +3,7 @@ import random
 import weakref
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from symwalk.generators import (custom_family, hru5, hua_reiner,
@@ -14,15 +15,25 @@ from symwalk.walker import (BatchConfig, BatchError, Word, derive_seed,
                             word_product)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 10, 12])
+# powers of two reject half the words; 2**31 + 1 and 2**32 - 1 keep all
+# 32 bits of each
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16,
+                               2 ** 31 + 1, 2 ** 32 - 1])
 def test_letters_is_the_randrange_stream(k):
-    # every sampler draws through letters(); a faster body must keep
-    # exactly this stream, or every CSV changes
+    # every sampler draws through letters(); its bulk MT19937 replay must
+    # keep exactly this stream, or every CSV changes
     for seed in (0, 1, 20240817, 2 ** 63 + 12345, 2 ** 64 - 1):
-        for length in (1, 2, 3, 31, 32, 33, 500, 16384):
+        for length in (0, 1, 2, 3, 31, 32, 33, 500, 16384):
             draw = random.Random(seed).randrange
-            assert letters(seed, k, length) == [draw(k) for _ in
-                                                range(length)]
+            got = letters(seed, k, length)
+            assert isinstance(got, np.ndarray) and got.dtype.kind == "u"
+            assert got.tolist() == [draw(k) for _ in range(length)]
+
+
+@pytest.mark.parametrize("k", [0, -1, 2 ** 32, 2 ** 40])
+def test_letters_rejects_alphabets_the_replay_cannot_draw(k):
+    with pytest.raises(ValueError, match=r"1 <= k < 2\*\*32, got k = %d$" % k):
+        letters(1, k, 5)
 
 
 def test_single_generator_word_is_constant():
@@ -52,8 +63,11 @@ def test_word_length_must_be_positive():
 
 def test_word_rejects_out_of_range_letters():
     fam = hua_reiner(2)
-    with pytest.raises(ValueError):
-        Word(fam, (0, 2))
+    # the message names the first letter out of range
+    for word, bad in (((0, 2), 2), ((1, 0, 5, -1, 2), 5), ((0, -1), -1)):
+        with pytest.raises(ValueError, match=r"^letter %d out of range for "
+                                             r"family of 2$" % bad):
+            Word(fam, word)
 
 
 def test_word_product_single_letter():

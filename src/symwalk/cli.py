@@ -77,7 +77,7 @@ def threads_from_env() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ConfigError("THREADS must be an integer")
+        raise ConfigError("THREADS must be an integer, got %r" % raw)
     return max(1, n)
 
 

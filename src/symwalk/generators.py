@@ -27,11 +27,16 @@ class GeneratorFamily:
     ``(j, ((i, c), ...))`` per column j where the member differs from the
     identity, meaning column j of ``P·G`` is the sum of ``c`` times column
     i of ``P``.
+
+    ``grow`` bounds how many bits one letter can add to the largest entry
+    of a product: ``grow = ceil(log2 N)``, where ``N`` is the largest column
+    1-norm of any member.
     """
 
     name: str
     matrices: tuple
     actions: tuple = field(init=False, repr=False, compare=False)
+    grow: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.matrices:
@@ -44,6 +49,9 @@ class GeneratorFamily:
                 raise ValueError("generator has determinant != 1")
         object.__setattr__(self, "actions",
                            tuple(_column_action(m) for m in self.matrices))
+        norm = max(sum(map(abs, col)) for m in self.matrices
+                   for col in zip(*m.rows))
+        object.__setattr__(self, "grow", (norm - 1).bit_length())
 
     @property
     def dim(self) -> int:

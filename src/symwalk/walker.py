@@ -9,21 +9,30 @@ into letters through ``letters`` alone.
 
 ``letters`` is the ``random.Random(seed).randrange(k)`` stream, replayed
 in bulk from the raw MT19937 output (Matsumoto--Nishimura 1998) that
-``randrange`` reads.  This rests on CPython's ``_randbelow`` (checked on
-3.10 and 3.11): ``randrange(k)`` is ``getrandbits(b)`` with
-``b = k.bit_length()``, redrawn while the result is ``>= k``; for
-``b <= 32`` that is the top ``b`` bits of one 32-bit output, and
-``getrandbits(32*m)`` packs ``m`` consecutive outputs little-endian.
-``tests/test_walker.py`` pins the replay against ``randrange`` itself, so
-a change to ``_randbelow`` fails there instead of silently changing every
-CSV.
+``randrange`` reads.  This rests on CPython's ``_randbelow``, checked by
+CI on Python 3.10, 3.11, 3.12 and 3.13: ``randrange(k)`` is
+``getrandbits(b)`` with ``b = k.bit_length()``, redrawn while the result
+is ``>= k``; for ``b <= 32`` that is the top ``b`` bits of one 32-bit
+output, and ``getrandbits(32*m)`` packs ``m`` consecutive outputs
+little-endian.  ``tests/test_walker.py`` pins the replay against
+``randrange`` itself, so a change to ``_randbelow`` fails there instead of
+silently changing every CSV.
 
 Products apply each letter through its generator's column action
-(``GeneratorFamily.actions``): the running product is a list of columns,
-and a letter rebuilds only the columns where its generator differs from
-the identity.  A transvection rebuilds one column, a signed permutation
-reorders them, and any other matrix costs one combination per column it
-moves.
+(``GeneratorFamily.actions``): a letter rebuilds only the columns where its
+generator differs from the identity, each as a combination of old columns.
+Each column of the running product is held as one integer, its entries
+packed ``w`` bits apart (``sum(x_r * 2**(w*r))``, Kronecker substitution),
+so a combination of columns is one big-integer operation per term instead
+of one per entry.  Packing is Z-linear, so the packed combination is
+exactly the packed column, and unpacking with balanced digits recovers the
+entries while every ``|x_r| < 2**(w-1)``.  A letter multiplies the largest
+entry by at most the largest column 1-norm ``N`` of any member, which adds
+at most ``GeneratorFamily.grow = ceil(log2 N)`` bits, so the product is
+unpacked and re-packed every ``_BLOCK`` letters with a width of the
+current entry size plus ``grow`` bits per letter of the next block: the
+width tracks the size the entries actually reach, not the ``N**L`` bound
+of a whole word.
 """
 
 from __future__ import annotations
@@ -35,13 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, make_family, symmetric_closure
-from .intmat import IntMatrix
+from .intmat import IntMatrix, identity
 
 POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
 LETTER_BOUND = 1 << 32      # letters replays one 32-bit MT19937 word per draw
+_BLOCK = 128                # word_product re-packs its columns this often
 
 
 def splitmix64(x: int) -> int:
@@ -148,30 +158,53 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     return Word(family, tuple(letters(seed, len(family), length).tolist()))
 
 
+def _pack(col, w: int) -> int:
+    """``sum(x_r * 2**(w*r))``: a column as one integer, ``w`` bits a row."""
+    v = 0
+    for x in reversed(col):
+        v = (v << w) + x
+    return v
+
+
+def _unpack(v: int, w: int, n: int) -> list:
+    """The ``n`` balanced base-``2**w`` digits of ``v``; the inverse of
+    ``_pack`` while every ``|x_r| < 2**(w-1)``."""
+    mask, half, col = (1 << w) - 1, 1 << (w - 1), []
+    for _ in range(n):
+        x = v & mask
+        v >>= w
+        if x >= half:       # a negative digit borrowed 1 from the rows above
+            x -= 1 << w
+            v += 1
+        col.append(x)
+    return col
+
+
 def word_product(word: Word) -> IntMatrix:
-    """Exact left-to-right product of the lettered generators."""
-    actions = word.family.actions
-    cols = list(zip(*word.family.matrices[word.letters[0]].rows))
-    for letter in word.letters[1:]:
-        new = []
-        for j, terms in actions[letter]:
-            (i, c), *more = terms
-            if c == 1:
-                col = cols[i]
-            elif c == -1:
-                col = [-x for x in cols[i]]
-            else:
-                col = [c * x for x in cols[i]]
-            for i, c in more:
-                if c == 1:
-                    col = [a + b for a, b in zip(col, cols[i])]
-                elif c == -1:
-                    col = [a - b for a, b in zip(col, cols[i])]
-                else:
-                    col = [a + c * b for a, b in zip(col, cols[i])]
-            new.append((j, col))
-        for j, col in new:
-            cols[j] = col
+    """Exact left-to-right product of the lettered generators; the empty
+    word gives the identity."""
+    actions, grow, n = word.family.actions, word.family.grow, word.family.dim
+    cols = identity(n).rows         # symmetric: its rows are its columns
+    for start in range(0, word.length, _BLOCK):
+        block = word.letters[start:start + _BLOCK]
+        # a letter multiplies max|x| by at most N <= 2**grow, so after the
+        # block |x| < 2**(bits + len(block)*grow) < 2**(w-1): unpack holds
+        bits = max(abs(x) for col in cols for x in col).bit_length()
+        w = bits + len(block) * grow + 2
+        packed = [_pack(col, w) for col in cols]
+        for letter in block:
+            old = packed[:]
+            for j, terms in actions[letter]:
+                v = 0
+                for i, c in terms:
+                    if c == 1:
+                        v += old[i]
+                    elif c == -1:
+                        v -= old[i]
+                    else:
+                        v += c * old[i]
+                packed[j] = v
+        cols = [_unpack(v, w, n) for v in packed]
     return IntMatrix(tuple(zip(*cols)))
 
 

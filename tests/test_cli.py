@@ -43,7 +43,8 @@ def test_threads_from_env(monkeypatch):
     monkeypatch.setenv("THREADS", "0")
     assert threads_from_env() == 1
     monkeypatch.setenv("THREADS", "zoo")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"^THREADS must be an integer, got 'zoo'$"):
         threads_from_env()
 
 

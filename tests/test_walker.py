@@ -1,18 +1,19 @@
 import gc
 import random
 import weakref
-from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symwalk.generators import (custom_family, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
-from symwalk.walker import (BatchConfig, BatchError, Word, derive_seed,
-                            letters, make_sample, run_batch, sample_word,
-                            word_product)
+from symwalk.walker import (BatchConfig, BatchError, Word, _pack, _unpack,
+                            derive_seed, letters, make_sample, run_batch,
+                            sample_word, word_product)
 
 
 # powers of two reject half the words; 2**31 + 1 and 2**32 - 1 keep all
@@ -113,12 +114,42 @@ _WIDE_COEFFICIENTS = custom_family((
                                  stanek(3), hua_reiner(4), _APERIODIC_SL2,
                                  _WIDE_COEFFICIENTS])
 def test_fast_product_matches_dense(fam):
+    # prefixes of one word, on both sides of every re-packing block edge;
+    # the empty prefix is the identity
     rng = random.Random(99)
-    letters = tuple(rng.randrange(len(fam)) for _ in range(40))
-    fast = word_product(Word(fam, letters))
-    dense = reduce(mat_mul, (fam.matrices[i] for i in letters))
-    assert fast == dense
-    assert det(fast) == 1
+    word = tuple(rng.randrange(len(fam)) for _ in range(1000))
+    dense = identity(fam.dim)
+    for length in range(1001):
+        if length:
+            dense = mat_mul(dense, fam.matrices[word[length - 1]])
+        if length in (0, 1, 2, 40, 127, 128, 129, 130, 385, 1000):
+            fast = word_product(Word(fam, word[:length]))
+            assert fast == dense, length
+            assert det(fast) == 1
+
+
+@pytest.mark.parametrize("fam, grow", [(humphries_symplectic(2), 2),
+                                       (stanek(2), 1), (hua_reiner(3), 1),
+                                       (_WIDE_COEFFICIENTS, 3),
+                                       (custom_family((identity(2),)), 0)])
+def test_grow_is_the_bits_one_letter_can_add(fam, grow):
+    # ceil(log2 N) for N the largest column 1-norm of any member
+    assert fam.grow == grow
+
+
+@st.composite
+def _packable_column(draw):
+    # a width and digits in (-2**(w-1), 2**(w-1)), extremes and 0 favoured
+    w = draw(st.integers(1, 200))
+    top = 2 ** (w - 1) - 1
+    digit = st.sampled_from((-top, 0, top)) | st.integers(-top, top)
+    return w, draw(st.lists(digit, min_size=1, max_size=8))
+
+
+@given(_packable_column())
+def test_unpack_inverts_pack(w_digits):
+    w, digits = w_digits
+    assert _unpack(_pack(digits, w), w, len(digits)) == digits
 
 
 def test_word_product_keeps_no_family_alive():

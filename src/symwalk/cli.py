@@ -38,7 +38,8 @@ from .intmat import (IntMatrix, NotPrimeError, SymplecticForm, identity,
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
-from .stats import empirical_rank_table, linear_fit, summarize, walk_rank_law
+from .stats import (empirical_rank_table, linear_fit, summarize, walk_closure,
+                    walk_rank_law)
 from .walker import POSITIVE, SYMMETRIC, BatchConfig, run_batch
 
 exhaustive_sp2_oracle = walk_rank_law   # the name bench/child.py traces
@@ -89,11 +90,17 @@ def _torsion_record(sample):
 
 
 class _ModpRecord:
-    def __init__(self, primes):
+    """fp_rank per prime: by a walk on the closure of the family mod p when
+    that group is within GROUP_ORDER_BOUND, else from the exact product."""
+
+    def __init__(self, family, primes):
         self.primes = tuple(primes)
+        self.closures = tuple(walk_closure(family, p) for p in self.primes)
 
     def __call__(self, sample):
-        return tuple(fp_rank(sample.product, p) for p in self.primes)
+        return tuple(fp_rank(sample.product, p) if closure is None
+                     else closure.rank(sample.word.letters)
+                     for p, closure in zip(self.primes, self.closures))
 
 
 class _HeegaardRecord:
@@ -212,18 +219,18 @@ def cmd_modp_rank(cfg):
         if not prime:
             raise ConfigError("%d is not prime" % p)
     batch, _ = _batch_config(cfg)
-    rows = [key + (p, r)
-            for key, ranks in run_batch_indexed(batch, _ModpRecord(primes))
+    record = _ModpRecord(batch.resolve_family(), primes)
+    rows = [key + (p, r) for key, ranks in run_batch_indexed(batch, record)
             for p, r in zip(primes, ranks)]
 
     # empirical distribution at the largest length, with the exact law of
-    # the walk alongside when its group mod p is small enough
+    # the walk alongside, from the closures the samples walked, when G is
+    # small enough
     top = max(batch.length_values())
-    walked = batch.resolve_family()
     tables = {}
-    for p in primes:
+    for p, closure in zip(primes, record.closures):
         ranks = [r for length, _, q, r in rows if length == top and q == p]
-        law = walk_rank_law(walked, p, top)
+        law = {} if closure is None else closure.rank_law(top)
         table = empirical_rank_table(p, ranks, law)
         entry = {"empirical": {str(k): v
                                for k, v in table.frequencies.items()},

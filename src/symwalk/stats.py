@@ -3,11 +3,19 @@ exact law of mod-p ranks under a walk, for mod-p equidistribution checks.
 
 The predicted rank law is that of the walk that is sampled, cosets and
 periodicity included, not the uniform law on some group.
+
+``fp_rank`` reduces mod p first, so the rank of a sample depends only on
+where its product lands in the closure G of the letters mod p.  One
+``walk_closure`` per (family, p) serves both sides: its ``rank_law`` is
+the predicted law, and its ``rank`` walks a sample on G, one table lookup
+per letter, instead of building the exact product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,40 +127,80 @@ def _closure_mod_p(gens, p: int):
     return np.array(group), np.array(moves)
 
 
-def walk_rank_law(family, p: int, length: int) -> dict:
-    """Exact law of ``fp_rank(M, p)`` for the product M of a uniform word
-    of ``length`` letters over ``family``, as ``{rank: Fraction}``.
+@dataclass(frozen=True)
+class WalkClosure:
+    """A family's walk mod p on the closure G of its letters, with the
+    elements of G as indices (0 is the identity).
 
-    The word counts of the walk on the closure G of the generators mod p
-    evolve one letter at a time, ``v <- sum_g v[x·g^-1]`` (Diaconis 1988,
-    ch. 3), so a walk confined to a coset or a subgroup of G is predicted
-    as such.  Returns ``{}`` when |G| exceeds ``GROUP_ORDER_BOUND``.
+    ``moves[a][x]`` is the index of x·g for letter a with generator g
+    (letters whose generators agree mod p share one table), and
+    ``ranks[x]`` is ``fp_rank`` of element x.  The elements themselves are
+    not kept: a walk needs only their indices, and the record that walks
+    is pickled to every pool worker.
     """
+
+    moves: tuple
+    ranks: tuple
+
+    def rank(self, letters) -> int:
+        """``fp_rank`` of the product of ``letters``: walk G from the
+        identity, one table lookup per letter."""
+        moves, x = self.moves, 0
+        for a in letters:
+            x = moves[a][x]
+        return self.ranks[x]
+
+    def rank_law(self, length: int) -> dict:
+        """Exact law of ``rank`` of a uniform word of ``length`` letters,
+        as ``{rank: Fraction}``.
+
+        The word counts of the walk on G evolve one letter at a time,
+        ``v <- sum_g v[x·g^-1]`` (Diaconis 1988, ch. 3), so a walk confined
+        to a coset or a subgroup of G is predicted as such.
+        """
+        # letters sharing a table move the walk alike: per distinct
+        # generator g, back[y] is the x with x·g = y, and its weight;
+        # counts are words of weighted letters, W^length in all
+        weights = Counter(self.moves)
+        common = math.gcd(*weights.values())
+        steps = [(np.argsort(move), w // common)
+                 for move, w in weights.items()]
+        counts = np.zeros(len(self.ranks), dtype=object)
+        counts[0] = 1
+        for _ in range(length):
+            counts = functools.reduce(operator.add, [
+                w * counts[back] if w > 1 else counts[back]
+                for back, w in steps])
+        law = {}
+        for rank, count in zip(self.ranks, counts):
+            if count:
+                law[rank] = law.get(rank, 0) + count
+        words = (len(self.moves) // common) ** length     # W^length
+        return {rank: Fraction(c, words) for rank, c in sorted(law.items())}
+
+
+def walk_closure(family, p: int):
+    """The ``WalkClosure`` of ``family`` mod the prime p, or None when |G|
+    exceeds ``GROUP_ORDER_BOUND``."""
     if not is_prime(p):
         raise NotPrimeError("%d is not prime" % p)
-    # letters whose generators agree mod p move the walk alike
-    weights = Counter(tuple(tuple(x % p for x in row) for row in m.rows)
-                      for m in family.matrices)
-    closure = _closure_mod_p(list(weights), p)
+    reduced = [tuple(tuple(x % p for x in row) for row in m.rows)
+               for m in family.matrices]
+    distinct = list(dict.fromkeys(reduced))
+    closure = _closure_mod_p(distinct, p)
     if closure is None:
-        return {}
+        return None
     group, moves = closure
-    # per distinct generator g: back[y] is the x with x·g = y, and its
-    # weight; counts are words of weighted letters, W^length in all
-    common = math.gcd(*weights.values())
-    steps = [(np.argsort(move), w // common)
-             for move, w in zip(moves, weights.values())]
-    counts = np.zeros(len(group), dtype=object)
-    counts[0] = 1
-    for _ in range(length):
-        new = np.zeros(len(group), dtype=object)
-        for back, w in steps:
-            new += w * counts[back] if w > 1 else counts[back]
-        counts = new
-    law = {}
-    for element, count in zip(group, counts):
-        if count:
-            rank = fp_rank(IntMatrix(tuple(map(tuple, element.tolist()))), p)
-            law[rank] = law.get(rank, 0) + count
-    words = (len(family) // common) ** length     # W^length
-    return {rank: Fraction(c, words) for rank, c in sorted(law.items())}
+    table = {g: tuple(move.tolist()) for g, move in zip(distinct, moves)}
+    ranks = tuple(fp_rank(IntMatrix(tuple(map(tuple, x.tolist()))), p)
+                  for x in group)
+    return WalkClosure(tuple(table[g] for g in reduced), ranks)
+
+
+def walk_rank_law(family, p: int, length: int) -> dict:
+    """Exact law of ``fp_rank(M, p)`` for the product M of a uniform word
+    of ``length`` letters over ``family``, as ``{rank: Fraction}``: the
+    ``rank_law`` of its ``walk_closure``, or ``{}`` when |G| exceeds
+    ``GROUP_ORDER_BOUND``."""
+    closure = walk_closure(family, p)
+    return {} if closure is None else closure.rank_law(length)

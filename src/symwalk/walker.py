@@ -33,6 +33,10 @@ unpacked and re-packed every ``_BLOCK`` letters with a width of the
 current entry size plus ``grow`` bits per letter of the next block: the
 width tracks the size the entries actually reach, not the ``N**L`` bound
 of a whole word.
+
+``WalkSample.product`` is computed on first read and kept, so a record
+that needs only the letters (``modp-rank`` within its group bound) never
+builds the exact product.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +118,16 @@ class Word:
 
 @dataclass(frozen=True)
 class WalkSample:
+    """A sampled word and its seed.  ``product``, the exact product of the
+    word, is computed on first read and kept, so a record that never reads
+    it never pays for it."""
+
     word: Word
-    product: IntMatrix
     seed: int
+
+    @cached_property
+    def product(self) -> IntMatrix:
+        return word_product(self.word)
 
 
 @dataclass(frozen=True)
@@ -209,8 +221,7 @@ def word_product(word: Word) -> IntMatrix:
 
 
 def make_sample(family: GeneratorFamily, length: int, seed: int) -> WalkSample:
-    word = sample_word(family, length, seed)
-    return WalkSample(word, word_product(word), seed)
+    return WalkSample(sample_word(family, length, seed), seed)
 
 
 class BatchError(RuntimeError):

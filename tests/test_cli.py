@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from symwalk.cli import (ConfigError, fmt, main, parse_lengths,
+from symwalk.cli import (ConfigError, _ModpRecord, fmt, main, parse_lengths,
                          read_matrix_file, threads_from_env)
 from symwalk.generators import hua_reiner, symmetric_closure
+from symwalk.homology import fp_rank
 from symwalk.stats import walk_rank_law
+from symwalk.walker import BatchConfig, derive_seed, make_sample, word_product
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +97,56 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
     assert tables["2"]["predicted"]
     assert "total_variation" in tables["2"]
     assert tables["3"]["predicted"] == {}
+
+
+@pytest.mark.parametrize("family, param, mode, p, closed", [
+    ("humphries", 2, "symmetric", 2, True),     # Sp(4, F_2), the default
+    # SL(3, F_2); hru2 agrees with its inverse mod 2: letter weights 1, 1, 2
+    ("hua-reiner", 3, "symmetric", 2, True),
+    ("humphries", 2, "positive-only", 2, True),  # no inverse letters
+    ("humphries", 2, "symmetric", 3, False),    # Sp(4, F_3): over the bound
+], ids=["humphries2-sym-p2", "hua-reiner3-sym-p2", "humphries2-p2",
+        "humphries2-sym-p3"])
+def test_modp_record_ranks_equal_exact_ranks(family, param, mode, p, closed):
+    walked = BatchConfig(family, param, (1, 1, 1), 1, 0, mode).resolve_family()
+    record = _ModpRecord(walked, [p])
+    assert (record.closures[0] is not None) == closed
+    for length in (1, 2, 129):
+        for j in range(20):
+            sample = make_sample(walked, length, derive_seed(7, length, j))
+            assert record(sample) == (fp_rank(word_product(sample.word), p),)
+
+
+def test_modp_rank_builds_no_product_where_the_closure_serves(tmp_path,
+                                                               capsys,
+                                                               monkeypatch):
+    def no_product(word):
+        raise RuntimeError("exact product built")
+
+    monkeypatch.setattr("symwalk.walker.word_product", no_product)
+    argv = ["modp-rank", "--lengths", "40", "--samples", "5",
+            "--out", str(tmp_path)]
+    code, _ = _run(capsys, argv + ["--primes", "2"])
+    assert code == 0
+    # Sp(4, F_3) is over GROUP_ORDER_BOUND: p = 3 needs the exact product
+    assert main(argv + ["--primes", "3"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: batch sample (length=40, index=0) failed: "
+        "exact product built\n")
+
+
+def test_modp_rank_csv_is_independent_of_threads(tmp_path, capsys,
+                                                 monkeypatch):
+    # the pickled record carries the closure tables to the pool workers
+    csvs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("THREADS", threads)
+        code, out = _run(capsys, [
+            "modp-rank", "--lengths", "1:129:64", "--samples", "12",
+            "--primes", "2,3", "--out", str(tmp_path / threads)])
+        assert code == 0
+        csvs.append(Path(out[0]).read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def _hua_reiner_rank_table(tmp_path, capsys, n):

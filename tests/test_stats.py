@@ -10,7 +10,7 @@ from symwalk.generators import (custom_family, hru5, hua_reiner,
 from symwalk.homology import fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (RankTable, _closure_mod_p, empirical_rank_table,
-                           linear_fit, summarize, walk_rank_law)
+                           linear_fit, summarize, walk_closure, walk_rank_law)
 from symwalk.walker import derive_seed, make_sample
 
 
@@ -160,3 +160,16 @@ def test_walk_rank_law_bound_is_on_the_group_order():
     sl4 = [m.to_lists() for m in hua_reiner(4).matrices]
     assert len(_closure_mod_p(sl3, 3)[0]) == 5616
     assert _closure_mod_p(sl4, 2) is None
+
+
+def test_walk_closure_shares_tables_between_letters_alike_mod_p():
+    closure = walk_closure(H2_SYMMETRIC, 2)
+    # the five transvections agree with their inverses mod 2: ten letters,
+    # five tables
+    assert len(closure.moves) == 10
+    assert len({id(move) for move in closure.moves}) == 5
+    assert len(closure.ranks) == 720                # Sp(4, F_2)
+    assert closure.rank(()) == 5                    # the identity
+    assert walk_closure(H2_SYMMETRIC, 3) is None    # Sp(4, F_3)
+    with pytest.raises(NotPrimeError):
+        walk_closure(H2_SYMMETRIC, 4)

@@ -26,7 +26,8 @@ class GeneratorFamily:
     ``actions[k]`` is how member k acts on a product from the right: one
     ``(j, ((i, c), ...))`` per column j where the member differs from the
     identity, meaning column j of ``P·G`` is the sum of ``c`` times column
-    i of ``P``.
+    i of ``P``.  The actions are plain, picklable data; ``walker`` compiles
+    its product kernels from them in each process.
 
     ``grow`` bounds how many bits one letter can add to the largest entry
     of a product: ``grow = ceil(log2 N)``, where ``N`` is the largest column

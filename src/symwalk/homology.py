@@ -83,12 +83,25 @@ class HomologyDescriptor:
         return math.prod(self.torsion)
 
 
+def _bezout(p: int, b: int) -> tuple:
+    """``(s, t, u, v)``, a unimodular ``[[s, t], [u, v]]`` that takes
+    ``(p, b)`` to ``(gcd(p, b), 0)``, for ``b`` not a multiple of ``p``."""
+    g = gcd(p, b)
+    s = pow(p // g, -1, abs(b // g))    # s * p == g (mod b)
+    return s, (g - s * p) // b, -(b // g), p // g
+
+
 def smith_normal_form(m: IntMatrix) -> DivisorChain:
     """Elementary divisors of a square integer matrix.
 
     Pivot = nonzero entry of minimal absolute value (lowest (row, col) on
-    ties); rows/columns are cleared by exact Euclidean steps, restarting
-    on the pivot whenever a smaller remainder shows up.
+    ties).  Each nonzero entry of its column is cleared by one row step:
+    subtracting a multiple when the pivot divides it, else a unimodular
+    2x2 operation that puts gcd(pivot, entry) on the pivot.  The pivot row
+    is then cleared the same way, as a column of the transpose, which has
+    the same divisors.  A gcd step refills the line cleared before only by
+    shrinking the pivot to a proper divisor, so rows and columns alternate
+    at most ``log2 |pivot| + 1`` times.
     """
     n = m.dim
     a = m.to_lists()
@@ -105,42 +118,22 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
             divisors.extend([0] * (n - top))
             break
         i, j = pivot
-        if i != top:
-            a[top], a[i] = a[i], a[top]
-        if j != top:
-            for row in a:
-                row[top], row[j] = row[j], row[top]
+        a[top], a[i] = a[i], a[top]
+        for row in a:
+            row[top], row[j] = row[j], row[top]
         while True:
-            p = a[top][top]
-            # clear the pivot column
-            dirty = False
-            for i in range(top + 1, n):
-                if a[i][top] != 0:
-                    q = a[i][top] // p
-                    if q:
-                        for c in range(top, n):
-                            a[i][c] -= q * a[top][c]
-                    if a[i][top] != 0:
-                        # remainder is smaller than the pivot: swap it up
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(top + 1, n):
-                if a[top][j] != 0:
-                    q = a[top][j] // p
-                    if q:
-                        for r in range(top, n):
-                            a[r][j] -= q * a[r][top]
-                    if a[top][j] != 0:
-                        for r in range(top, n):
-                            a[r][top], a[r][j] = a[r][j], a[r][top]
-                        dirty = True
-                        break
-            if not dirty:
+            for i in range(top + 1, n):     # clear the pivot column
+                p, b = a[top][top], a[i][top]
+                if b % p:
+                    s, t, u, v = _bezout(p, b)
+                    a[top], a[i] = ([s * x + t * y for x, y in zip(a[top], a[i])],
+                                    [u * x + v * y for x, y in zip(a[top], a[i])])
+                elif b:
+                    q = b // p
+                    a[i] = [y - q * x for x, y in zip(a[top], a[i])]
+            if not any(a[top][top + 1:]):
                 break
+            a = [list(col) for col in zip(*a)]  # clear the row as a column
         divisors.append(abs(a[top][top]))
     # enforce the divisibility chain on the diagonal: diag(a, b) ~ diag(gcd, lcm)
     nz = [d for d in divisors if d != 0]

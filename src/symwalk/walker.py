@@ -21,18 +21,21 @@ silently changing every CSV.
 Products apply each letter through its generator's column action
 (``GeneratorFamily.actions``): a letter rebuilds only the columns where its
 generator differs from the identity, each as a combination of old columns.
-Each column of the running product is held as one integer, its entries
-packed ``w`` bits apart (``sum(x_r * 2**(w*r))``, Kronecker substitution),
-so a combination of columns is one big-integer operation per term instead
-of one per entry.  Packing is Z-linear, so the packed combination is
-exactly the packed column, and unpacking with balanced digits recovers the
-entries while every ``|x_r| < 2**(w-1)``.  A letter multiplies the largest
-entry by at most the largest column 1-norm ``N`` of any member, which adds
-at most ``GeneratorFamily.grow = ceil(log2 N)`` bits, so the product is
-unpacked and re-packed every ``_BLOCK`` letters with a width of the
-current entry size plus ``grow`` bits per letter of the next block: the
-width tracks the size the entries actually reach, not the ``N**L`` bound
-of a whole word.
+Each process compiles the actions of a family once into one straight-line
+function per generator (``_kernels``), so a letter is one call and no
+interpreted loop over terms.  Each column of the running product is held
+as one integer, its entries packed ``w`` bits apart (``sum(x_r *
+2**(w*r))``, Kronecker substitution), so a combination of columns is one
+big-integer operation per term instead of one per entry.  Packing is
+Z-linear, so the packed combination is exactly the packed column, and
+unpacking with balanced digits recovers the entries while every
+``|x_r| < 2**(w-1)``.  A letter multiplies the largest entry by at most
+the largest column 1-norm ``N`` of any member, which adds at most
+``GeneratorFamily.grow = ceil(log2 N)`` bits, so the product is unpacked
+and re-packed every ``_BLOCK`` letters with a width of the current entry
+size plus ``grow`` bits per letter of the next block: the width tracks
+the size the entries actually reach, not the ``N**L`` bound of a whole
+word.
 
 ``WalkSample.product`` is computed on first read and kept, so a record
 that needs only the letters (``modp-rank`` within its group bound) never
@@ -42,9 +45,8 @@ builds the exact product.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,7 +169,17 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     """Uniform i.i.d. letters over the family, deterministic in the seed."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    return Word(family, tuple(letters(seed, len(family), length).tolist()))
+    return _unchecked(Word, family=family, letters=tuple(
+        letters(seed, len(family), length).tolist()))
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__`` checks, for values valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _pack(col, w: int) -> int:
@@ -192,10 +204,33 @@ def _unpack(v: int, w: int, n: int) -> list:
     return col
 
 
+@lru_cache(maxsize=None)
+def _kernels(actions: tuple, n: int) -> tuple:
+    """One compiled function per member of a family with these column
+    ``actions`` in dimension ``n``: it takes the packed columns ``p0..``
+    of a product ``P`` and returns those of ``P·G``, e.g.
+    ``lambda p0, p1: (p0, p1 + p0)``.  The source holds only the names
+    ``p<i>`` and integers formatted with ``%d``.  Kept for the life of the
+    process, which meets one family per run."""
+    args = ", ".join("p%d" % i for i in range(n))
+    kernels = []
+    for action in actions:
+        cols = ["p%d" % i for i in range(n)]
+        for j, terms in action:
+            # " + p1 - 2 * p0" -> "p1 - 2 * p0"; a leading "-" stays unary
+            cols[j] = "".join(
+                " %s %sp%d" % ("-" if c < 0 else "+",
+                               "" if abs(c) == 1 else "%d * " % abs(c), i)
+                for i, c in terms).lstrip(" +")
+        kernels.append(eval("lambda %s: (%s,)" % (args, ", ".join(cols)), {}))
+    return tuple(kernels)
+
+
 def word_product(word: Word) -> IntMatrix:
     """Exact left-to-right product of the lettered generators; the empty
     word gives the identity."""
-    actions, grow, n = word.family.actions, word.family.grow, word.family.dim
+    grow, n = word.family.grow, word.family.dim
+    kernels = _kernels(word.family.actions, n)
     cols = identity(n).rows         # symmetric: its rows are its columns
     for start in range(0, word.length, _BLOCK):
         block = word.letters[start:start + _BLOCK]
@@ -205,19 +240,9 @@ def word_product(word: Word) -> IntMatrix:
         w = bits + len(block) * grow + 2
         packed = [_pack(col, w) for col in cols]
         for letter in block:
-            old = packed[:]
-            for j, terms in actions[letter]:
-                v = 0
-                for i, c in terms:
-                    if c == 1:
-                        v += old[i]
-                    elif c == -1:
-                        v -= old[i]
-                    else:
-                        v += c * old[i]
-                packed[j] = v
+            packed = kernels[letter](*packed)
         cols = [_unpack(v, w, n) for v in packed]
-    return IntMatrix(tuple(zip(*cols)))
+    return _unchecked(IntMatrix, rows=tuple(zip(*cols)))
 
 
 def make_sample(family: GeneratorFamily, length: int, seed: int) -> WalkSample:
@@ -258,6 +283,7 @@ def run_batch(config: BatchConfig, per_sample, threads: int = 1):
             except Exception as exc:
                 raise BatchError(length, j, exc) from exc
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(tasks) // (8 * threads))
             results = iter(pool.map(_run_one, tasks, chunksize=chunk))

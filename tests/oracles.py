@@ -11,7 +11,7 @@ import numpy as np
 
 from symwalk.generators import (custom_family, humphries_symplectic,
                                 symmetric_closure)
-from symwalk.homology import fp_rank
+from symwalk.homology import DivisorChain, fp_rank
 from symwalk.intmat import IntMatrix, det, mat_mul
 from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
                               FrameCollapseError, LyapunovEstimate)
@@ -75,6 +75,78 @@ def _reduce(a):
     pivot = abs(a[0][0])
     sub = [[row[j] for j in range(1, n)] for row in a[1:]]
     return [pivot] + _reduce(sub)
+
+
+def euclid_snf(m: IntMatrix) -> DivisorChain:
+    """Elementary divisors of a square integer matrix by Euclidean steps:
+    the reference for ``smith_normal_form``.
+
+    Pivot = nonzero entry of minimal absolute value (lowest (row, col) on
+    ties); rows/columns are cleared by exact Euclidean steps, restarting
+    on the pivot whenever a smaller remainder shows up.
+    """
+    n = m.dim
+    a = m.to_lists()
+    divisors = []
+    for top in range(n):
+        # locate minimal-abs nonzero pivot in the working submatrix
+        pivot = None
+        for i in range(top, n):
+            for j in range(top, n):
+                v = a[i][j]
+                if v != 0 and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            divisors.extend([0] * (n - top))
+            break
+        i, j = pivot
+        if i != top:
+            a[top], a[i] = a[i], a[top]
+        if j != top:
+            for row in a:
+                row[top], row[j] = row[j], row[top]
+        while True:
+            p = a[top][top]
+            # clear the pivot column
+            dirty = False
+            for i in range(top + 1, n):
+                if a[i][top] != 0:
+                    q = a[i][top] // p
+                    if q:
+                        for c in range(top, n):
+                            a[i][c] -= q * a[top][c]
+                    if a[i][top] != 0:
+                        # remainder is smaller than the pivot: swap it up
+                        a[top], a[i] = a[i], a[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # clear the pivot row
+            for j in range(top + 1, n):
+                if a[top][j] != 0:
+                    q = a[top][j] // p
+                    if q:
+                        for r in range(top, n):
+                            a[r][j] -= q * a[r][top]
+                    if a[top][j] != 0:
+                        for r in range(top, n):
+                            a[r][top], a[r][j] = a[r][j], a[r][top]
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        divisors.append(abs(a[top][top]))
+    # enforce the divisibility chain on the diagonal: diag(a, b) ~ diag(gcd, lcm)
+    nz = [d for d in divisors if d != 0]
+    zeros = len(divisors) - len(nz)
+    for i in range(len(nz)):
+        for j in range(i + 1, len(nz)):
+            if nz[j] % nz[i] != 0:
+                g = gcd(nz[i], nz[j])
+                nz[i], nz[j] = g, nz[i] // g * nz[j]
+    nz.sort()
+    return DivisorChain(tuple(nz) + (0,) * zeros)
 
 
 def det_cofactor(m: IntMatrix) -> int:

@@ -135,17 +135,35 @@ def test_modp_rank_builds_no_product_where_the_closure_serves(tmp_path,
         "exact product built\n")
 
 
-def test_modp_rank_csv_is_independent_of_threads(tmp_path, capsys,
-                                                 monkeypatch):
-    # the pickled record carries the closure tables to the pool workers
+def _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv):
     csvs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("THREADS", threads)
-        code, out = _run(capsys, [
-            "modp-rank", "--lengths", "1:129:64", "--samples", "12",
-            "--primes", "2,3", "--out", str(tmp_path / threads)])
+        code, out = _run(capsys, argv + ["--out", str(tmp_path / threads)])
         assert code == 0
         csvs.append(Path(out[0]).read_bytes())
+    return csvs
+
+
+def test_modp_rank_csv_is_independent_of_threads(tmp_path, capsys,
+                                                 monkeypatch):
+    # the pickled record carries the closure tables to the pool workers
+    csvs = _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, [
+        "modp-rank", "--lengths", "1:129:64", "--samples", "12",
+        "--primes", "2,3"])
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion-stats", "--lengths", "1:257:128", "--samples", "6"],
+    ["heegaard", "--family", "stanek", "--genus", "2",
+     "--lengths", "1:257:128", "--samples", "6"],
+], ids=["torsion-stats", "heegaard"])
+def test_exact_csv_is_independent_of_threads(tmp_path, capsys, monkeypatch,
+                                             argv):
+    # each pool worker compiles its own product kernels from the pickled
+    # family
+    csvs = _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv)
     assert csvs[0] == csvs[1]
 
 

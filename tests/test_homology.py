@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minor_gcd_divisors, naive_snf, random_int_matrix
+from oracles import (euclid_snf, minor_gcd_divisors, naive_snf,
+                     random_int_matrix)
 from symwalk.homology import (DivisorChain, HomologyDescriptor, TorsionOrder,
                               complexity_lower_bound, fp_rank,
                               heegaard_homology, mapping_torus_homology,
@@ -106,6 +107,47 @@ def _random_unimodular(rng, n, ops=20):
             for row in m:
                 row[i] += c * row[j]
     return IntMatrix(tuple(tuple(r) for r in m))
+
+
+def _snf_differential_cases(count, seed=811):
+    """Square matrices of order 1 to 6 with entries of up to 30 digits:
+    dense, singular (a row a combination of two others, or a zero row),
+    zero, and U·D·V with a divisor chain D of small primes."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randint(1, 6)
+        bound = 10 ** rng.choice((1, 3, 30))
+        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        kind = case % 4
+        if kind == 1:
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            c, d = rng.randint(-9, 9), rng.randint(-9, 9)
+            m[i] = [c * x + d * y for x, y in zip(m[j], m[k])]
+        elif kind == 2:
+            m = [[0] * n for _ in range(n)]
+        elif kind == 3 and n > 1:
+            d = 1
+            for i in range(n):
+                d *= rng.choice((1, 1, 2, 3, 5, 0 if i == n - 1 else 1))
+                m[i] = [d if j == i else 0 for j in range(n)]
+            m = mat_mul(mat_mul(_random_unimodular(rng, n),
+                                IntMatrix(tuple(map(tuple, m)))),
+                        _random_unimodular(rng, n)).to_lists()
+        yield IntMatrix(tuple(map(tuple, m)))
+
+
+def test_snf_matches_the_euclidean_reference():
+    # one Bezout step per entry must find the divisors the Euclidean
+    # restarts find, on singular and zero matrices too
+    seen = set()
+    for m in _snf_differential_cases(600):
+        chain = smith_normal_form(m)
+        assert chain == euclid_snf(m), m
+        seen.add((chain.zero_count == m.dim, chain.zero_count > 0,
+                  any(d > 1 for d in chain.nonzero[:-1])))
+    # zero, singular, and nonsingular with and without a repeated factor
+    assert {(True, True, False), (False, True, True), (False, True, False),
+            (False, False, True), (False, False, False)} <= seen
 
 
 def test_snf_unimodular_invariance():

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and importing the
+CLI loads no process pool.
 
 An import counts as used when its bound name is read anywhere in the
 module.  ``__init__.py`` files are exempt (their imports are the package's
@@ -6,6 +7,9 @@ re-exports), and so is an import on a line marked ``# noqa: F401``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +48,15 @@ def test_no_unused_imports():
     unused = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
               for path in MODULES for line, name in unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_the_cli_imports_no_process_pool():
+    # run_batch imports the pool only when it starts one
+    code = ("import sys, symwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('concurrent', 'multiprocessing'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

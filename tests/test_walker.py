@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import weakref
 
@@ -11,9 +12,9 @@ from symwalk.generators import (custom_family, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
-from symwalk.walker import (BatchConfig, BatchError, Word, _pack, _unpack,
-                            derive_seed, letters, make_sample, run_batch,
-                            sample_word, word_product)
+from symwalk.walker import (BatchConfig, BatchError, Word, _kernels, _pack,
+                            _unpack, derive_seed, letters, make_sample,
+                            run_batch, sample_word, word_product)
 
 
 # powers of two reject half the words; 2**31 + 1 and 2**32 - 1 keep all
@@ -48,6 +49,7 @@ def test_sample_word_deterministic():
     w1 = sample_word(fam, 1000, 999)
     w2 = sample_word(fam, 1000, 999)
     assert w1.letters == w2.letters
+    assert w1 == Word(fam, w1.letters)      # a word the checks accept
 
 
 def test_letter_frequencies():
@@ -108,11 +110,16 @@ _WIDE_COEFFICIENTS = custom_family((
     hru5(3)))
 
 
+# the compiled kernels of transvections (Humphries), signed permutations
+# (Stanek's dd; Hua-Reiner's hru5, whose corner entry is (-1)**(n-1)),
+# their products (Stanek n >= 4) and wider coefficients
 @pytest.mark.parametrize("fam", [humphries_symplectic(2), hua_reiner(3),
                                  stanek(2), stanek(4),
                                  symmetric_closure(humphries_symplectic(2)),
                                  stanek(3), hua_reiner(4), _APERIODIC_SL2,
-                                 _WIDE_COEFFICIENTS])
+                                 _WIDE_COEFFICIENTS, humphries_symplectic(3),
+                                 symmetric_closure(humphries_symplectic(3)),
+                                 stanek(1), hua_reiner(2)])
 def test_fast_product_matches_dense(fam):
     # prefixes of one word, on both sides of every re-packing block edge;
     # the empty prefix is the identity
@@ -122,7 +129,7 @@ def test_fast_product_matches_dense(fam):
     for length in range(1001):
         if length:
             dense = mat_mul(dense, fam.matrices[word[length - 1]])
-        if length in (0, 1, 2, 40, 127, 128, 129, 130, 385, 1000):
+        if length in (0, 1, 2, 40, 127, 128, 129, 130, 257, 385, 1000):
             fast = word_product(Word(fam, word[:length]))
             assert fast == dense, length
             assert det(fast) == 1
@@ -150,6 +157,22 @@ def _packable_column(draw):
 def test_unpack_inverts_pack(w_digits):
     w, digits = w_digits
     assert _unpack(_pack(digits, w), w, len(digits)) == digits
+
+
+def test_family_pickles_after_a_product():
+    # pool tasks pickle the family: the compiled kernels must not ride on it
+    fam = stanek(2)
+    product = word_product(Word(fam, (0, 2, 1, 2)))
+    clone = pickle.loads(pickle.dumps(fam))
+    assert clone == fam and clone.actions == fam.actions
+    assert word_product(Word(clone, (0, 2, 1, 2))) == product
+
+
+def test_kernels_are_compiled_once_per_family():
+    fam = humphries_symplectic(2)
+    kernels = _kernels(fam.actions, fam.dim)
+    assert _kernels(humphries_symplectic(2).actions, 4) is kernels
+    assert len(kernels) == len(fam)
 
 
 def test_word_product_keeps_no_family_alive():

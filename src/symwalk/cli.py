@@ -325,6 +325,8 @@ def read_matrix_file(path: str) -> IntMatrix:
         vals = [int(t) for t in tokens[1:]]
     except ValueError:
         raise ConfigError("matrix file must contain integers")
+    if n < 0:
+        raise ConfigError("matrix dimension must be >= 0, got %d" % n)
     if len(vals) != n * n:
         raise ConfigError("expected %d entries, got %d" % (n * n, len(vals)))
     return IntMatrix(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
@@ -491,7 +493,13 @@ def _merge_config(args) -> dict:
     command = COMMANDS[args.command]
     cfg = dict(command.defaults)
     if args.config:
-        cfg.update(_load_config(args.config))
+        doc = _load_config(args.config)
+        known = {key for _, key, _, _ in command.flags}
+        for key in doc:
+            if key not in known:
+                raise ConfigError("%s does not read config key %r"
+                                  % (args.command, key))
+        cfg.update(doc)
     for _, key, convert, _ in command.flags:
         value = getattr(args, key)
         if value is not None:

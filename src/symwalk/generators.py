@@ -13,7 +13,7 @@ and is converted to 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intmat import IntMatrix, det, inverse, mat_mul
 
@@ -21,23 +21,11 @@ from .intmat import IntMatrix, det, inverse, mat_mul
 @dataclass(frozen=True)
 class GeneratorFamily:
     """An ordered, deduplicated list of integer matrix generators, each of
-    determinant 1.
-
-    ``actions[k]`` is how member k acts on a product from the right: one
-    ``(j, ((i, c), ...))`` per column j where the member differs from the
-    identity, meaning column j of ``P·G`` is the sum of ``c`` times column
-    i of ``P``.  The actions are plain, picklable data; ``walker`` compiles
-    its product kernels from them in each process.
-
-    ``grow`` bounds how many bits one letter can add to the largest entry
-    of a product: ``grow = ceil(log2 N)``, where ``N`` is the largest column
-    1-norm of any member.
-    """
+    determinant 1.  It is plain, picklable data; ``walker`` compiles its
+    product kernels from ``matrices`` in each process."""
 
     name: str
     matrices: tuple
-    actions: tuple = field(init=False, repr=False, compare=False)
-    grow: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.matrices:
@@ -48,11 +36,6 @@ class GeneratorFamily:
                 raise ValueError("all generators must share one dimension")
             if det(m) != 1:
                 raise ValueError("generator has determinant != 1")
-        object.__setattr__(self, "actions",
-                           tuple(_column_action(m) for m in self.matrices))
-        norm = max(sum(map(abs, col)) for m in self.matrices
-                   for col in zip(*m.rows))
-        object.__setattr__(self, "grow", (norm - 1).bit_length())
 
     @property
     def dim(self) -> int:
@@ -60,19 +43,6 @@ class GeneratorFamily:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-
-def _column_action(m: IntMatrix) -> tuple:
-    """The columns where ``m`` differs from the identity, each with the
-    nonzero entries that build it; the diagonal entry comes first, because
-    with coefficient 1 it costs no copy."""
-    action = []
-    for j, col in enumerate(zip(*m.rows)):
-        if any(c != (i == j) for i, c in enumerate(col)):
-            terms = sorted(((i, c) for i, c in enumerate(col) if c),
-                           key=lambda term: term[0] != j)
-            action.append((j, tuple(terms)))
-    return tuple(action)
 
 
 def _unit(n: int, i: int, j: int, value: int = 1) -> IntMatrix:

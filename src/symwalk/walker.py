@@ -18,24 +18,23 @@ little-endian.  ``tests/test_walker.py`` pins the replay against
 ``randrange`` itself, so a change to ``_randbelow`` fails there instead of
 silently changing every CSV.
 
-Products apply each letter through its generator's column action
-(``GeneratorFamily.actions``): a letter rebuilds only the columns where its
-generator differs from the identity, each as a combination of old columns.
-Each process compiles the actions of a family once into one straight-line
-function per generator (``_kernels``), so a letter is one call and no
-interpreted loop over terms.  Each column of the running product is held
-as one integer, its entries packed ``w`` bits apart (``sum(x_r *
-2**(w*r))``, Kronecker substitution), so a combination of columns is one
-big-integer operation per term instead of one per entry.  Packing is
-Z-linear, so the packed combination is exactly the packed column, and
-unpacking with balanced digits recovers the entries while every
-``|x_r| < 2**(w-1)``.  A letter multiplies the largest entry by at most
-the largest column 1-norm ``N`` of any member, which adds at most
-``GeneratorFamily.grow = ceil(log2 N)`` bits, so the product is unpacked
-and re-packed every ``_BLOCK`` letters with a width of the current entry
-size plus ``grow`` bits per letter of the next block: the width tracks
-the size the entries actually reach, not the ``N**L`` bound of a whole
-word.
+Products apply each letter through its generator's column action: a
+letter rebuilds only the columns where its generator differs from the
+identity, each as a combination of old columns.  Each process compiles the
+matrices of a family once into one straight-line function per generator
+(``_kernels``), so a letter is one call and no interpreted loop over
+terms.  Each column of the running product is held as one integer, its
+entries packed ``w`` bits apart (``sum(x_r * 2**(w*r))``, Kronecker
+substitution), so a combination of columns is one big-integer operation
+per term instead of one per entry.  Packing is Z-linear, so the packed
+combination is exactly the packed column, and unpacking with balanced
+digits recovers the entries while every ``|x_r| < 2**(w-1)``.  A letter
+multiplies the largest entry by at most the largest column 1-norm ``N``
+of any member, which adds at most ``grow = ceil(log2 N)`` bits (``_kernels``
+returns it with the kernels), so the product is unpacked and re-packed
+every ``_BLOCK`` letters with a width of the current entry size plus
+``grow`` bits per letter of the next block: the width tracks the size the
+entries actually reach, not the ``N**L`` bound of a whole word.
 
 ``WalkSample.product`` is computed on first read and kept, so a record
 that needs only the letters (``modp-rank`` within its group bound) never
@@ -44,6 +43,7 @@ builds the exact product.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -205,32 +205,40 @@ def _unpack(v: int, w: int, n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _kernels(actions: tuple, n: int) -> tuple:
-    """One compiled function per member of a family with these column
-    ``actions`` in dimension ``n``: it takes the packed columns ``p0..``
-    of a product ``P`` and returns those of ``P·G``, e.g.
-    ``lambda p0, p1: (p0, p1 + p0)``.  The source holds only the names
-    ``p<i>`` and integers formatted with ``%d``.  Kept for the life of the
-    process, which meets one family per run."""
+def _kernels(matrices: tuple) -> tuple:
+    """``(grow, kernels)`` for a family of these member matrices.
+    ``kernels[k]`` takes the packed columns ``p0..`` of a product ``P`` and
+    returns those of ``P·matrices[k]``, e.g. ``lambda p0, p1: (p0, p1 +
+    p0)``; it rebuilds only the columns where the member differs from the
+    identity, diagonal term first.  The source holds only the names
+    ``p<i>`` and integers formatted with ``%d``.  ``grow = ceil(log2 N)``
+    for ``N`` the largest column 1-norm of any member.  Cached for the
+    life of the process, which meets one family per run, on the matrices
+    rather than the family, so the cache keeps no family alive."""
+    n = matrices[0].dim
     args = ", ".join("p%d" % i for i in range(n))
     kernels = []
-    for action in actions:
+    for m in matrices:
         cols = ["p%d" % i for i in range(n)]
-        for j, terms in action:
-            # " + p1 - 2 * p0" -> "p1 - 2 * p0"; a leading "-" stays unary
-            cols[j] = "".join(
-                " %s %sp%d" % ("-" if c < 0 else "+",
-                               "" if abs(c) == 1 else "%d * " % abs(c), i)
-                for i, c in terms).lstrip(" +")
+        for j, col in enumerate(zip(*m.rows)):
+            if any(c != (i == j) for i, c in enumerate(col)):
+                terms = sorted(((i, c) for i, c in enumerate(col) if c),
+                               key=lambda term: term[0] != j)
+                # " + p1 - 2 * p0" -> "p1 - 2 * p0"; a leading "-" stays unary
+                cols[j] = "".join(
+                    " %s %sp%d" % ("-" if c < 0 else "+",
+                                   "" if abs(c) == 1 else "%d * " % abs(c), i)
+                    for i, c in terms).lstrip(" +")
         kernels.append(eval("lambda %s: (%s,)" % (args, ", ".join(cols)), {}))
-    return tuple(kernels)
+    norm = max(sum(map(abs, col)) for m in matrices for col in zip(*m.rows))
+    return (norm - 1).bit_length(), tuple(kernels)
 
 
 def word_product(word: Word) -> IntMatrix:
     """Exact left-to-right product of the lettered generators; the empty
     word gives the identity."""
-    grow, n = word.family.grow, word.family.dim
-    kernels = _kernels(word.family.actions, n)
+    grow, kernels = _kernels(word.family.matrices)
+    n = word.family.dim
     cols = identity(n).rows         # symmetric: its rows are its columns
     for start in range(0, word.length, _BLOCK):
         block = word.letters[start:start + _BLOCK]
@@ -268,7 +276,8 @@ def _run_one(args):
 
 def run_batch(config: BatchConfig, per_sample, threads: int = 1):
     """Yield per_sample(WalkSample) records in deterministic (length, index)
-    order.  With threads > 1 the samples are computed by a process pool
+    order.  With threads > 1 and more than one sample, the samples are
+    computed by a process pool of at most one worker per sample
     (per_sample must then be picklable); the emission order is unchanged.
     """
     family = config.resolve_family()
@@ -276,19 +285,18 @@ def run_batch(config: BatchConfig, per_sample, threads: int = 1):
               per_sample)
              for length in config.length_values()
              for j in range(config.samples_per_length)]
-    if threads <= 1:
-        for family_, length, j, seed, cb in tasks:
+    workers = min(threads, len(tasks))
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            results = map(_run_one, tasks)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.enter_context(pool)
+            chunk = max(1, len(tasks) // (8 * threads))
+            results = pool.map(_run_one, tasks, chunksize=chunk)
+        for _, length, j, _, _ in tasks:
             try:
-                yield _run_one((family_, length, j, seed, cb))
+                yield next(results)
             except Exception as exc:
                 raise BatchError(length, j, exc) from exc
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(tasks) // (8 * threads))
-            results = iter(pool.map(_run_one, tasks, chunksize=chunk))
-            for family_, length, j, seed, cb in tasks:
-                try:
-                    yield next(results)
-                except Exception as exc:
-                    raise BatchError(length, j, exc) from exc

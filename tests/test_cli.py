@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from symwalk.cli import (ConfigError, _ModpRecord, fmt, main, parse_lengths,
-                         read_matrix_file, threads_from_env)
+from symwalk.cli import (COMMANDS, ConfigError, _ModpRecord, fmt, main,
+                         parse_lengths, read_matrix_file, threads_from_env)
 from symwalk.generators import hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
 from symwalk.stats import walk_rank_law
@@ -306,6 +306,9 @@ def test_read_matrix_file_validation(tmp_path):
     p.write_text("")
     with pytest.raises(ConfigError):
         read_matrix_file(p)
+    p.write_text("-1\n5\n")      # n * n == 1 entry: only n is wrong
+    with pytest.raises(ConfigError, match="dimension must be >= 0, got -1"):
+        read_matrix_file(p)
 
 
 def test_json_format_output(tmp_path, capsys):
@@ -403,6 +406,12 @@ def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
     ("punctured", {"lengths": [64, 1e3]},
      "lengths[1] must be an integer, got 1000.0"),
     ("prescribe", {"chain": [2, 6.0]}, "chain[1] must be an integer, got 6.0"),
+    ("torsion-stats", {"sampels": 3},
+     "torsion-stats does not read config key 'sampels'"),
+    ("lyapunov", {"mode": "symmetric"},
+     "lyapunov does not read config key 'mode'"),
+    ("snf", {"matrix_file": "m.txt", "seed": 1},
+     "snf does not read config key 'seed'"),
 ])
 def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
                                          bad):
@@ -415,6 +424,13 @@ def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
     assert err.startswith("config error:")
     assert bad in err
     assert not out.exists()
+
+
+def test_config_defaults_are_flag_keys():
+    # a config file may set only the keys a flag sets, defaults included
+    for name, command in COMMANDS.items():
+        flags = {key for _, key, _, _ in command.flags}
+        assert set(command.defaults) <= flags, name
 
 
 @pytest.mark.parametrize("text, bad", [

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import pickle
 import random
@@ -141,7 +142,7 @@ def test_fast_product_matches_dense(fam):
                                        (custom_family((identity(2),)), 0)])
 def test_grow_is_the_bits_one_letter_can_add(fam, grow):
     # ceil(log2 N) for N the largest column 1-norm of any member
-    assert fam.grow == grow
+    assert _kernels(fam.matrices)[0] == grow
 
 
 @st.composite
@@ -164,15 +165,16 @@ def test_family_pickles_after_a_product():
     fam = stanek(2)
     product = word_product(Word(fam, (0, 2, 1, 2)))
     clone = pickle.loads(pickle.dumps(fam))
-    assert clone == fam and clone.actions == fam.actions
+    assert clone == fam
+    assert vars(clone) == {"name": "stanek", "matrices": fam.matrices}
     assert word_product(Word(clone, (0, 2, 1, 2))) == product
 
 
 def test_kernels_are_compiled_once_per_family():
     fam = humphries_symplectic(2)
-    kernels = _kernels(fam.actions, fam.dim)
-    assert _kernels(humphries_symplectic(2).actions, 4) is kernels
-    assert len(kernels) == len(fam)
+    compiled = _kernels(fam.matrices)
+    assert _kernels(humphries_symplectic(2).matrices) is compiled
+    assert len(compiled[1]) == len(fam)
 
 
 def test_word_product_keeps_no_family_alive():
@@ -214,6 +216,54 @@ def test_run_batch_parallel_matches_serial():
     assert serial == parallel
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool asked for and
+    maps in-process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.chunksize, self.closed = max_workers, None, False
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed = True
+
+    def map(self, fn, tasks, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+
+
+@pytest.mark.parametrize("samples, threads, workers, chunk", [
+    (1, 64, None, None),        # one sample runs in-process
+    (1, 1, None, None),
+    (3, 64, 3, 1),              # never more workers than samples
+    (40, 2, 2, 2),              # 40 // (8 * threads)
+    (40, 1, None, None),
+])
+def test_run_batch_pool_has_no_more_workers_than_samples(
+        recording_pool, samples, threads, workers, chunk):
+    cfg = BatchConfig("hua-reiner", 2, (5, 5, 1), samples, 11)
+    got = list(run_batch(cfg, _pickleable_record, threads=threads))
+    assert len(got) == samples
+    assert got == [_pickleable_record(make_sample(
+        cfg.resolve_family(), 5, derive_seed(11, 5, j))) for j in range(samples)]
+    made = _RecordingPool.made
+    assert [(p.max_workers, p.chunksize) for p in made] == (
+        [] if workers is None else [(workers, chunk)])
+    assert all(p.closed for p in made)
+
+
 def _boom(sample):
     if sample.word.length == 200 and sample.word.letters[0] >= 0:
         raise RuntimeError("boom")
@@ -226,6 +276,14 @@ def test_run_batch_reports_failing_sample():
         list(run_batch(cfg, _boom))
     assert exc.value.length == 200
     assert exc.value.index == 0
+
+
+def test_run_batch_reports_failing_sample_from_a_pool(recording_pool):
+    cfg = BatchConfig("hua-reiner", 2, (100, 200, 100), 2, 1)
+    with pytest.raises(BatchError) as exc:
+        list(run_batch(cfg, _boom, threads=2))
+    assert (exc.value.length, exc.value.index) == (200, 0)
+    assert [p.closed for p in _RecordingPool.made] == [True]
 
 
 def test_batch_config_validation():

@@ -11,8 +11,6 @@ from .homology import (DivisorChain, HomologyDescriptor,
                        complexity_lower_bound, fp_rank, heegaard_homology,
                        mapping_torus_homology, smith_normal_form,
                        torsion_order)
-from .intmat import (IntMatrix, SymplecticForm, det, identity, is_symplectic,
-                     mat_mul, mod_p)
+from .intmat import IntMatrix, det, identity, is_symplectic, mat_mul, mod_p
 from .prescribe import prescribe_symplectic, sl2_block, verify_prescription
-from .walker import (BatchConfig, WalkSample, Word, make_sample, run_batch,
-                     sample_word, word_product)
+from .walker import BatchConfig, Word, run_batch, sample_word, word_product

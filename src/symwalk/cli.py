@@ -33,8 +33,7 @@ from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
 # Not called here (torsion_order computes it for singular samples), but
 # bench/child.py traces both under their cli names.
 from .homology import mapping_torus_homology  # noqa: F401
-from .intmat import (IntMatrix, NotPrimeError, SymplecticForm, identity,
-                     is_prime, is_symplectic)
+from .intmat import IntMatrix, NotPrimeError, identity, is_prime, is_symplectic
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
@@ -84,8 +83,8 @@ def threads_from_env() -> int:
 
 # --- per-sample record callbacks (module level: picklable) ------------------
 
-def _torsion_record(sample):
-    t = torsion_order(sample.product)
+def _torsion_record(word):
+    t = torsion_order(word.product)
     return (math.log(t.value) if t.value > 1 else 0.0, t.betti, t.singular)
 
 
@@ -97,9 +96,9 @@ class _ModpRecord:
         self.primes = tuple(primes)
         self.closures = tuple(walk_closure(family, p) for p in self.primes)
 
-    def __call__(self, sample):
-        return tuple(fp_rank(sample.product, p) if closure is None
-                     else closure.rank(sample.word.letters)
+    def __call__(self, word):
+        return tuple(fp_rank(word.product, p) if closure is None
+                     else closure.rank(word.letters)
                      for p, closure in zip(self.primes, self.closures))
 
 
@@ -107,8 +106,8 @@ class _HeegaardRecord:
     def __init__(self, genus):
         self.genus = genus
 
-    def __call__(self, sample):
-        h = heegaard_homology(sample.product, self.genus)
+    def __call__(self, word):
+        h = heegaard_homology(word.product, self.genus)
         t = h.torsion_order
         return (math.log(t) if t > 1 else 0.0, h.betti,
                 complexity_lower_bound(h))
@@ -243,10 +242,9 @@ def cmd_modp_rank(cfg):
 
 def cmd_heegaard(cfg):
     batch, fam = _batch_config(cfg)
-    g, odd = divmod(fam.dim, 2)
-    if odd or not all(is_symplectic(m, SymplecticForm(g))
-                      for m in fam.matrices):
+    if not all(map(is_symplectic, fam.matrices)):
         raise ConfigError("heegaard needs a symplectic family")
+    g = fam.dim // 2
     rows = [key + record for key, record in
             run_batch_indexed(batch, _HeegaardRecord(g))]
     groups = _column_by_length(rows, HEEGAARD_COLUMNS, "log_h1")

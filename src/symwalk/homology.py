@@ -13,7 +13,8 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import DimensionError, IntMatrix, det, identity, mod_p
+from .intmat import (DimensionError, IntMatrix, _unchecked, det, identity,
+                     mod_p)
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,20 @@ class DivisorChain:
 
 @dataclass(frozen=True)
 class HomologyDescriptor:
-    """A finitely generated abelian group: free rank plus torsion divisors."""
+    """A finitely generated abelian group: free rank plus torsion divisors,
+    a divisor chain of integers > 1."""
 
     betti: int
     torsion: tuple
 
     def __post_init__(self):
-        ts = tuple(int(t) for t in self.torsion)
+        if type(self.betti) is not int or self.betti < 0:
+            raise ValueError("betti must be a nonnegative int, got %r"
+                             % (self.betti,))
+        ts = DivisorChain(tuple(self.torsion)).divisors
+        if any(t <= 1 for t in ts):
+            raise ValueError("torsion divisors must be > 1")
         object.__setattr__(self, "torsion", ts)
-        prev = None
-        for t in ts:
-            if t <= 1:
-                raise ValueError("torsion divisors must be > 1")
-            if prev is not None and t % prev != 0:
-                raise ValueError("torsion divisibility chain violated")
-            prev = t
 
     @property
     def torsion_order(self) -> int:
@@ -148,9 +148,9 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
 
 
 def _descriptor_from_chain(chain: DivisorChain, extra_betti: int = 0) -> HomologyDescriptor:
-    return HomologyDescriptor(
-        betti=extra_betti + chain.zero_count,
-        torsion=tuple(d for d in chain.divisors if d > 1))
+    return _unchecked(HomologyDescriptor,
+                      betti=extra_betti + chain.zero_count,
+                      torsion=tuple(d for d in chain.divisors if d > 1))
 
 
 def mapping_torus_homology(m: IntMatrix) -> HomologyDescriptor:
@@ -214,10 +214,8 @@ def heegaard_homology(m: IntMatrix, g: int) -> HomologyDescriptor:
     """
     if m.dim != 2 * g:
         raise DimensionError("need a 2g x 2g matrix for genus %d" % g)
-    b = IntMatrix(tuple(tuple(m.rows[i][g + j] for j in range(g))
-                        for i in range(g)))
-    chain = smith_normal_form(b)
-    return _descriptor_from_chain(chain)
+    b = _unchecked(IntMatrix, rows=tuple(row[g:] for row in m.rows[:g]))
+    return _descriptor_from_chain(smith_normal_form(b))
 
 
 def complexity_lower_bound(h: HomologyDescriptor) -> float:

@@ -9,8 +9,10 @@ precision, so plain dense algorithms are fine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class DimensionError(ValueError):
@@ -21,9 +23,22 @@ class NotPrimeError(ValueError):
     """A modulus that was required to be prime is not."""
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__`` checks, for values the package builds valid by
+    construction; a value a caller builds goes through ``cls(...)``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """A square matrix of Python ints, stored as a tuple of row tuples."""
+    """A square matrix of Python ints, stored as a tuple of row tuples.
+    ``IntMatrix(rows)`` converts every entry with ``int()``, which keeps
+    numpy integers out of exact arithmetic, and checks squareness; the
+    matrices computed below skip both (``_unchecked``)."""
 
     rows: tuple
 
@@ -49,22 +64,24 @@ class IntMatrix:
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise DimensionError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        return IntMatrix(tuple(
+        return _unchecked(IntMatrix, rows=tuple(
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return _unchecked(IntMatrix, rows=tuple(
+            tuple(-a for a in row) for row in self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return _unchecked(IntMatrix, rows=tuple(zip(*self.rows)))
 
     def to_lists(self):
         return [list(row) for row in self.rows]
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> IntMatrix:
-    return IntMatrix(tuple(
+    return _unchecked(IntMatrix, rows=tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
@@ -73,7 +90,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.dim != b.dim:
         raise DimensionError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
     bcols = tuple(zip(*b.rows))
-    return IntMatrix(tuple(
+    return _unchecked(IntMatrix, rows=tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bcols)
         for row in a.rows))
 
@@ -132,7 +149,8 @@ def inverse(m: IntMatrix) -> IntMatrix:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
                 inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
+    return _unchecked(IntMatrix, rows=tuple(
+        tuple(int(x) for x in row) for row in inv))
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -173,40 +191,21 @@ def is_prime(p: int) -> bool:
 
 def mod_p(m: IntMatrix, p: int) -> IntMatrix:
     """Entrywise reduction into [0, p) for a prime modulus."""
+    p = operator.index(p)
     if not is_prime(p):
         raise NotPrimeError("%d is not prime" % p)
-    return IntMatrix(tuple(tuple(x % p for x in row) for row in m.rows))
+    return _unchecked(IntMatrix, rows=tuple(
+        tuple(x % p for x in row) for row in m.rows))
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard symplectic form on Z^(2g): J has +I_g in the upper-right
-    block and -I_g in the lower-left block."""
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be >= 1")
-
-    @property
-    def matrix(self) -> IntMatrix:
-        g = self.g
-        rows = []
-        for i in range(2 * g):
-            row = [0] * (2 * g)
-            if i < g:
-                row[g + i] = 1
-            else:
-                row[i - g] = -1
-            rows.append(tuple(row))
-        return IntMatrix(tuple(rows))
-
-
-def is_symplectic(m: IntMatrix, form: SymplecticForm) -> bool:
-    """True iff m' J m = J exactly."""
-    if m.dim != 2 * form.g:
-        raise DimensionError(
-            "matrix dim %d does not match form dim %d" % (m.dim, 2 * form.g))
-    j = form.matrix
+def is_symplectic(m: IntMatrix) -> bool:
+    """True iff m' J m = J exactly, for J the standard symplectic form on
+    Z^(2g), 2g = m.dim: +I_g in the upper-right block and -I_g in the
+    lower-left block.  False for an odd or zero dimension."""
+    g, odd = divmod(m.dim, 2)
+    if odd or not g:
+        return False
+    j = _unchecked(IntMatrix, rows=tuple(
+        tuple(1 if c == r + g else -1 if r == c + g else 0
+              for c in range(2 * g)) for r in range(2 * g)))
     return mat_mul(mat_mul(m.transpose(), j), m) == j

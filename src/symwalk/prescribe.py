@@ -9,7 +9,7 @@ coordinate pairs (i, g+i) of the standard symplectic basis.
 from __future__ import annotations
 
 from .homology import DivisorChain, smith_normal_form
-from .intmat import IntMatrix, SymplecticForm, identity, is_symplectic
+from .intmat import IntMatrix, identity, is_symplectic
 
 
 def sl2_block(r: int, s: int) -> IntMatrix:
@@ -47,12 +47,7 @@ def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
 
 def verify_prescription(m: IntMatrix, chain: DivisorChain) -> bool:
     """True iff m is symplectic and SNF(m - I) equals the chain."""
-    if m.dim != chain.rank:
-        return False
-    if m.dim % 2 != 0:
-        return False
-    form = SymplecticForm(m.dim // 2)
-    if not is_symplectic(m, form):
+    if m.dim != chain.rank or not is_symplectic(m):
         return False
     snf = smith_normal_form(m - identity(m.dim))
     return snf.divisors == chain.divisors

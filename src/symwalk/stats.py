@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .homology import fp_rank
-from .intmat import IntMatrix, NotPrimeError, is_prime
+from .intmat import IntMatrix, NotPrimeError, _unchecked, is_prime
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def empirical_rank_table(p: int, ranks, predicted=None) -> RankTable:
 
 # --- the exact law of the walk mod p ------------------------------------------
 
-GROUP_ORDER_BOUND = 10 ** 4     # largest group walk_rank_law evolves a law on
+# the largest group G whose walk WalkClosure.rank_law evolves a law on
+GROUP_ORDER_BOUND = 10 ** 4
 
 
 def _closure_mod_p(gens, p: int):
@@ -192,8 +193,8 @@ def walk_closure(family, p: int):
         return None
     group, moves = closure
     table = {g: tuple(move.tolist()) for g, move in zip(distinct, moves)}
-    ranks = tuple(fp_rank(IntMatrix(tuple(map(tuple, x.tolist()))), p)
-                  for x in group)
+    rows = (tuple(map(tuple, x.tolist())) for x in group)   # Python ints
+    ranks = tuple(fp_rank(_unchecked(IntMatrix, rows=r), p) for r in rows)
     return WalkClosure(tuple(table[g] for g in reduced), ranks)
 
 

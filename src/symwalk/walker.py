@@ -36,9 +36,12 @@ every ``_BLOCK`` letters with a width of the current entry size plus
 ``grow`` bits per letter of the next block: the width tracks the size the
 entries actually reach, not the ``N**L`` bound of a whole word.
 
-``WalkSample.product`` is computed on first read and kept, so a record
-that needs only the letters (``modp-rank`` within its group bound) never
-builds the exact product.
+A ``Word`` carries its exact product: ``Word.product`` is computed on
+first read and kept, so a record that needs only the letters
+(``modp-rank`` within its group bound) never builds it.  The words
+``sample_word`` draws and the products ``word_product`` builds are valid
+by construction and skip their checks (``intmat._unchecked``); a ``Word``
+a caller builds is checked.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .generators import GeneratorFamily, make_family, symmetric_closure
-from .intmat import IntMatrix, identity
+from .intmat import IntMatrix, _unchecked, identity
 
 POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
@@ -102,7 +105,8 @@ def letters(seed: int, k: int, length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of generator indices over a family."""
+    """A sequence of generator indices over a family, and its exact
+    ``product``, computed on first read and kept."""
 
     family: GeneratorFamily
     letters: tuple
@@ -117,19 +121,9 @@ class Word:
     def length(self) -> int:
         return len(self.letters)
 
-
-@dataclass(frozen=True)
-class WalkSample:
-    """A sampled word and its seed.  ``product``, the exact product of the
-    word, is computed on first read and kept, so a record that never reads
-    it never pays for it."""
-
-    word: Word
-    seed: int
-
     @cached_property
     def product(self) -> IntMatrix:
-        return word_product(self.word)
+        return word_product(self)
 
 
 @dataclass(frozen=True)
@@ -171,15 +165,6 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
         raise ValueError("word length must be >= 1")
     return _unchecked(Word, family=family, letters=tuple(
         letters(seed, len(family), length).tolist()))
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built without its
-    ``__post_init__`` checks, for values valid by construction."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _pack(col, w: int) -> int:
@@ -253,10 +238,6 @@ def word_product(word: Word) -> IntMatrix:
     return _unchecked(IntMatrix, rows=tuple(zip(*cols)))
 
 
-def make_sample(family: GeneratorFamily, length: int, seed: int) -> WalkSample:
-    return WalkSample(sample_word(family, length, seed), seed)
-
-
 class BatchError(RuntimeError):
     """A per-sample callback failed; carries the failing (length, index)."""
 
@@ -270,12 +251,11 @@ class BatchError(RuntimeError):
 
 def _run_one(args):
     family, length, index, seed, per_sample = args
-    sample = make_sample(family, length, seed)
-    return per_sample(sample)
+    return per_sample(sample_word(family, length, seed))
 
 
 def run_batch(config: BatchConfig, per_sample, threads: int = 1):
-    """Yield per_sample(WalkSample) records in deterministic (length, index)
+    """Yield per_sample(Word) records in deterministic (length, index)
     order.  With threads > 1 and more than one sample, the samples are
     computed by a process pool of at most one worker per sample
     (per_sample must then be picklable); the emission order is unchanged.

@@ -18,6 +18,22 @@ from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
 from symwalk.walker import Word, derive_seed, word_product
 
 
+def symplectic_form(g: int) -> IntMatrix:
+    """The standard symplectic form J on Z^(2g): +I_g in the upper-right
+    block and -I_g in the lower-left block."""
+    return IntMatrix(tuple(
+        tuple(1 if j == g + i else -1 if i == g + j else 0
+              for j in range(2 * g)) for i in range(2 * g)))
+
+
+def has_python_int_rows(m: IntMatrix) -> bool:
+    """True iff the rows of m are tuples of Python ints (no numpy integer
+    and no bool among the entries)."""
+    return type(m.rows) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row)
+        for row in m.rows)
+
+
 def naive_snf(m: IntMatrix):
     """Textbook recursive Smith reduction; deliberately independent of the
     library implementation (first-nonzero pivoting, in-loop divisibility

@@ -23,7 +23,7 @@ from symwalk.lyapunov import clt_diagnostics, estimate_exponents
 from symwalk.prescribe import prescribe_symplectic, verify_prescription
 from symwalk.punctured import run_scaling_experiment
 from symwalk.stats import empirical_rank_table, linear_fit, walk_rank_law
-from symwalk.walker import BatchConfig, derive_seed, make_sample, run_batch
+from symwalk.walker import BatchConfig, derive_seed, run_batch, sample_word
 
 MASTER_SEED = 20240817
 
@@ -35,7 +35,7 @@ def _report(tag, ok, detail):
 
 def _log_torsion(sample):
     t = torsion_order(sample.product)
-    return (sample.word.length, math.log(t.value) if t.value > 1 else 0.0,
+    return (sample.length, math.log(t.value) if t.value > 1 else 0.0,
             t.singular)
 
 
@@ -78,7 +78,7 @@ def test_criterion_03_stanek_torsion_rate():
     length = 2000
     total = 0.0
     for j in range(100):
-        sample = make_sample(fam, length, derive_seed(MASTER_SEED, length, j))
+        sample = sample_word(fam, length, derive_seed(MASTER_SEED, length, j))
         t = torsion_order(sample.product)
         total += math.log(t.value) if t.value > 1 else 0.0
     rate = total / 100 / length
@@ -121,7 +121,7 @@ def test_criterion_06_modp_equidistribution():
     ok = True
     for tag, fam, p in cases:
         length = 500
-        ranks = [fp_rank(make_sample(fam, length,
+        ranks = [fp_rank(sample_word(fam, length,
                                      derive_seed(MASTER_SEED + 3, length, j)
                                      ).product, p)
                  for j in range(2000)]
@@ -209,7 +209,7 @@ def test_criterion_10_snf_against_oracle():
 def _heegaard_log(sample):
     h = heegaard_homology(sample.product, 2)
     t = h.torsion_order
-    return (sample.word.length, math.log(t) if t > 1 else 0.0, h.betti)
+    return (sample.length, math.log(t) if t > 1 else 0.0, h.betti)
 
 
 def test_criterion_11_heegaard_growth():

@@ -9,7 +9,7 @@ from symwalk.cli import (COMMANDS, ConfigError, _ModpRecord, fmt, main,
 from symwalk.generators import hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
 from symwalk.stats import walk_rank_law
-from symwalk.walker import BatchConfig, derive_seed, make_sample, word_product
+from symwalk.walker import BatchConfig, derive_seed, sample_word, word_product
 
 
 @pytest.fixture(autouse=True)
@@ -113,8 +113,8 @@ def test_modp_record_ranks_equal_exact_ranks(family, param, mode, p, closed):
     assert (record.closures[0] is not None) == closed
     for length in (1, 2, 129):
         for j in range(20):
-            sample = make_sample(walked, length, derive_seed(7, length, j))
-            assert record(sample) == (fp_rank(word_product(sample.word), p),)
+            sample = sample_word(walked, length, derive_seed(7, length, j))
+            assert record(sample) == (fp_rank(word_product(sample), p),)
 
 
 def test_modp_rank_builds_no_product_where_the_closure_serves(tmp_path,
@@ -133,6 +133,25 @@ def test_modp_rank_builds_no_product_where_the_closure_serves(tmp_path,
     assert capsys.readouterr().err == (
         "internal error: batch sample (length=40, index=0) failed: "
         "exact product built\n")
+
+
+def test_modp_rank_builds_one_product_per_sample(tmp_path, capsys,
+                                                 monkeypatch):
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return word_product(word)
+
+    monkeypatch.setattr("symwalk.walker.word_product", counting)
+    # Sp(4, F_3) and Sp(4, F_5) are both over GROUP_ORDER_BOUND: one exact
+    # product per sample serves both primes, read through the module
+    # global that bench/child.py wraps
+    code, _ = _run(capsys, ["modp-rank", "--lengths", "20:40:20",
+                            "--samples", "3", "--primes", "3,5",
+                            "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 6
 
 
 def _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (euclid_snf, minor_gcd_divisors, naive_snf,
-                     random_int_matrix)
+import symwalk.homology as homology
+from oracles import (euclid_snf, has_python_int_rows, minor_gcd_divisors,
+                     naive_snf, random_int_matrix, symplectic_form)
 from symwalk.homology import (DivisorChain, HomologyDescriptor, TorsionOrder,
                               complexity_lower_bound, fp_rank,
                               heegaard_homology, mapping_torus_homology,
                               smith_normal_form, torsion_order)
-from symwalk.intmat import IntMatrix, SymplecticForm, det, identity, mat_mul
+from symwalk.intmat import IntMatrix, det, identity, mat_mul
 
 SNF_BLOCK_R2_S3 = IntMatrix(((-13, 2), (-20, 3)))
 
@@ -31,6 +32,20 @@ def test_divisor_chain_invariants():
 def test_divisor_chain_rejects_non_integers(divisors):
     with pytest.raises(ValueError, match="divisors must be integers"):
         DivisorChain(divisors)
+
+
+@pytest.mark.parametrize("betti, torsion, message", [
+    (0, (1,), "must be > 1"),
+    (0, (2, 0), "must be > 1"),
+    (0, (2, 5), "divisibility chain violated"),
+    (0, (2.5,), "must be integers"),
+    (0, (6.9, 12), "must be integers"),
+    (-1, (), "nonnegative int"),
+    (1.0, (), "nonnegative int"),
+])
+def test_homology_descriptor_rejects(betti, torsion, message):
+    with pytest.raises(ValueError, match=message):
+        HomologyDescriptor(betti, torsion)
 
 
 def test_snf_examples():
@@ -64,7 +79,7 @@ def test_fp_rank_examples():
 def test_heegaard_examples():
     h = heegaard_homology(identity(4), 2)
     assert (h.betti, h.torsion) == (2, ())
-    j = SymplecticForm(1).matrix
+    j = symplectic_form(1)
     h = heegaard_homology(j, 1)
     assert (h.betti, h.torsion) == (0, ())
     h = heegaard_homology(IntMatrix(((1, 2), (0, 1))), 1)
@@ -230,3 +245,20 @@ def test_torsion_order_consistent_with_descriptor():
 def test_heegaard_rejects_odd_dimension():
     with pytest.raises(Exception):
         heegaard_homology(identity(4), 1)
+
+
+def test_heegaard_block_is_the_top_right_block_of_python_ints(monkeypatch):
+    blocks = []
+
+    def recording(m):
+        blocks.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    rng = random.Random(11)
+    for g in (1, 2, 3):
+        m = random_int_matrix(rng, 2 * g)
+        heegaard_homology(m, g)
+        assert blocks[-1] == IntMatrix(tuple(
+            tuple(m[i, g + j] for j in range(g)) for i in range(g)))
+        assert has_python_int_rows(blocks[-1])

@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_cofactor, random_int_matrix
+from oracles import (det_cofactor, has_python_int_rows, random_int_matrix,
+                     symplectic_form)
 from symwalk.intmat import (MR_EXACT_BELOW, DimensionError, IntMatrix,
-                            NotPrimeError, SymplecticForm, det, identity,
-                            inverse, is_prime, is_symplectic, mat_mul, mod_p)
+                            NotPrimeError, det, identity, inverse, is_prime,
+                            is_symplectic, mat_mul, mod_p)
 
 
 def test_mat_mul_identity():
@@ -38,15 +40,15 @@ def test_det_examples():
 
 
 def test_is_symplectic_examples():
-    form = SymplecticForm(1)
-    assert is_symplectic(identity(2), form)
-    assert is_symplectic(IntMatrix(((1, 0), (1, 1))), form)
-    assert not is_symplectic(IntMatrix(((2, 0), (0, 1))), form)
+    assert is_symplectic(identity(2))
+    assert is_symplectic(IntMatrix(((1, 0), (1, 1))))
+    assert not is_symplectic(IntMatrix(((2, 0), (0, 1))))
 
 
 def test_is_symplectic_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        is_symplectic(identity(4), SymplecticForm(1))
+    # no symplectic form exists on an odd or zero dimension
+    for n in (0, 1, 3):
+        assert is_symplectic(identity(n)) is False
 
 
 def test_mod_p_examples():
@@ -92,7 +94,7 @@ def test_is_prime_refuses_beyond_exact_bound():
 
 def test_symplectic_form_invariants():
     for g in (1, 2, 3, 5):
-        j = SymplecticForm(g).matrix
+        j = symplectic_form(g)
         assert mat_mul(j, j) == -identity(2 * g)
         assert j.transpose() == -j
 
@@ -126,15 +128,14 @@ def test_mod_p_is_a_homomorphism(seed, p):
 
 
 def test_symplectic_closed_under_product():
-    form = SymplecticForm(2)
     rng = random.Random(7)
     from symwalk.generators import humphries_symplectic
     fam = humphries_symplectic(2)
     for _ in range(20):
         a = fam.matrices[rng.randrange(len(fam))]
         b = fam.matrices[rng.randrange(len(fam))]
-        assert is_symplectic(a, form) and is_symplectic(b, form)
-        assert is_symplectic(mat_mul(a, b), form)
+        assert is_symplectic(a) and is_symplectic(b)
+        assert is_symplectic(mat_mul(a, b))
 
 
 def test_inverse_exact():
@@ -148,3 +149,18 @@ def test_inverse_exact():
 def test_matrix_must_be_square():
     with pytest.raises(DimensionError):
         IntMatrix(((1, 2, 3), (4, 5, 6)))
+
+
+def test_computed_matrices_stay_python_ints():
+    m = IntMatrix(((2, 1), (1, 1)))
+    for result in (m - identity(2), -m, mat_mul(m, m), m.transpose(),
+                   mod_p(m, 3), mod_p(m, np.int64(3)), inverse(m),
+                   identity(3)):
+        assert has_python_int_rows(result)
+    assert identity(3) is identity(3)
+
+
+def test_caller_numpy_entries_are_converted():
+    m = IntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert has_python_int_rows(m)
+    assert m == IntMatrix(((2, 1), (1, 1)))

@@ -4,7 +4,7 @@ import pytest
 
 from symwalk.homology import (DivisorChain, mapping_torus_homology,
                               smith_normal_form)
-from symwalk.intmat import IntMatrix, SymplecticForm, det, identity, is_symplectic
+from symwalk.intmat import IntMatrix, det, identity, is_symplectic
 from symwalk.prescribe import (prescribe_symplectic, sl2_block,
                                verify_prescription)
 
@@ -17,13 +17,12 @@ def test_sl2_block_examples():
 
 def test_sl2_block_properties():
     rng = random.Random(0)
-    form = SymplecticForm(1)
     for _ in range(40):
         r = rng.randint(1, 30)
         s = rng.randint(1, 30)
         b = sl2_block(r, s)
         assert det(b) == 1
-        assert is_symplectic(b, form)
+        assert is_symplectic(b)
         assert smith_normal_form(b - identity(2)).divisors == (r, r * s)
 
 
@@ -80,7 +79,7 @@ def test_verify_rejects_wrong_chain_or_matrix():
     not_symplectic = IntMatrix(((1, 1, 0, 0), (0, 1, 0, 0),
                                 (0, 0, 1, 0), (0, 0, 0, 1)))
     assert det(not_symplectic) == 1
-    assert not is_symplectic(not_symplectic, SymplecticForm(2))
+    assert not is_symplectic(not_symplectic)
     chain4 = DivisorChain(smith_normal_form(
         not_symplectic - identity(4)).divisors)
     assert not verify_prescription(not_symplectic, chain4)
@@ -98,4 +97,4 @@ def test_random_chains_round_trip():
         chain = DivisorChain(tuple(ds))
         m = prescribe_symplectic(chain)
         assert verify_prescription(m, chain)
-        assert is_symplectic(m, SymplecticForm(g))
+        assert m.dim == 2 * g and is_symplectic(m)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import aperiodic_sl2, aperiodic_sp4, rank_law_by_enumeration
+import symwalk.stats as stats
+from oracles import (aperiodic_sl2, aperiodic_sp4, has_python_int_rows,
+                     rank_law_by_enumeration)
 from symwalk.generators import (custom_family, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
@@ -11,7 +13,7 @@ from symwalk.homology import fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (RankTable, _closure_mod_p, empirical_rank_table,
                            linear_fit, summarize, walk_closure, walk_rank_law)
-from symwalk.walker import derive_seed, make_sample
+from symwalk.walker import derive_seed, sample_word
 
 
 def test_summarize_basics():
@@ -108,7 +110,7 @@ def test_oracle_matches_long_walk_frequencies():
     # a symmetric aperiodic SL(2) walk at moderate length is close to the
     # exact law of its products mod 2
     fam = aperiodic_sl2()
-    ranks = [fp_rank(make_sample(fam, 101, derive_seed(5, 101, j)).product, 2)
+    ranks = [fp_rank(sample_word(fam, 101, derive_seed(5, 101, j)).product, 2)
              for j in range(400)]
     table = empirical_rank_table(2, ranks,
                                  predicted=walk_rank_law(fam, 2, 101))
@@ -173,3 +175,21 @@ def test_walk_closure_shares_tables_between_letters_alike_mod_p():
     assert walk_closure(H2_SYMMETRIC, 3) is None    # Sp(4, F_3)
     with pytest.raises(NotPrimeError):
         walk_closure(H2_SYMMETRIC, 4)
+
+
+@pytest.mark.parametrize("family, p", [
+    (H2_SYMMETRIC, 2),
+    # a quarter turn mod 2**61 - 1: entries too large for int64 products
+    (custom_family((IntMatrix(((0, -1), (1, 0))),)), 2 ** 61 - 1),
+], ids=["int64", "object"])
+def test_walk_closure_ranks_python_int_elements(monkeypatch, family, p):
+    seen = []
+
+    def recording(m, q):
+        seen.append(m)
+        return fp_rank(m, q)
+
+    monkeypatch.setattr(stats, "fp_rank", recording)
+    closure = walk_closure(family, p)
+    assert len(seen) == len(closure.ranks) == (720 if p == 2 else 4)
+    assert all(has_python_int_rows(m) for m in seen)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import has_python_int_rows
 from symwalk.generators import (custom_family, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
 from symwalk.walker import (BatchConfig, BatchError, Word, _kernels, _pack,
-                            _unpack, derive_seed, letters, make_sample,
-                            run_batch, sample_word, word_product)
+                            _unpack, derive_seed, letters, run_batch,
+                            sample_word, word_product)
 
 
 # powers of two reject half the words; 2**31 + 1 and 2**32 - 1 keep all
@@ -191,22 +192,22 @@ def test_run_batch_single_sample_cubes_generator():
     fam = custom_family((IntMatrix(((1, 1), (0, 1))),))
     cfg = BatchConfig("humphries", 2, (3, 3, 1), 1, 0)
     # bypass the named-family resolution: drive the pieces directly
-    sample = make_sample(fam, 3, derive_seed(0, 3, 0))
+    sample = sample_word(fam, 3, derive_seed(0, 3, 0))
     assert sample.product == IntMatrix(((1, 3), (0, 1)))
 
 
 def test_run_batch_ordering_and_determinism():
     cfg = BatchConfig("hua-reiner", 2, (100, 200, 100), 10, 31337)
-    recs1 = list(run_batch(cfg, lambda s: (s.word.length, s.seed,
+    recs1 = list(run_batch(cfg, lambda s: (s.length, s.letters,
                                            s.product.rows)))
-    recs2 = list(run_batch(cfg, lambda s: (s.word.length, s.seed,
+    recs2 = list(run_batch(cfg, lambda s: (s.length, s.letters,
                                            s.product.rows)))
     assert recs1 == recs2
     assert [r[0] for r in recs1] == [100] * 10 + [200] * 10
 
 
 def _pickleable_record(sample):
-    return (sample.word.length, sample.product.rows)
+    return (sample.length, sample.product.rows)
 
 
 def test_run_batch_parallel_matches_serial():
@@ -256,7 +257,7 @@ def test_run_batch_pool_has_no_more_workers_than_samples(
     cfg = BatchConfig("hua-reiner", 2, (5, 5, 1), samples, 11)
     got = list(run_batch(cfg, _pickleable_record, threads=threads))
     assert len(got) == samples
-    assert got == [_pickleable_record(make_sample(
+    assert got == [_pickleable_record(sample_word(
         cfg.resolve_family(), 5, derive_seed(11, 5, j))) for j in range(samples)]
     made = _RecordingPool.made
     assert [(p.max_workers, p.chunksize) for p in made] == (
@@ -265,7 +266,7 @@ def test_run_batch_pool_has_no_more_workers_than_samples(
 
 
 def _boom(sample):
-    if sample.word.length == 200 and sample.word.letters[0] >= 0:
+    if sample.length == 200 and sample.letters[0] >= 0:
         raise RuntimeError("boom")
     return None
 
@@ -307,3 +308,9 @@ def test_derive_seed_spreads():
     seeds = {derive_seed(1, length, j) for length in (100, 200)
              for j in range(100)}
     assert len(seeds) == 200
+
+
+def test_word_product_rows_are_python_ints():
+    # 300 letters: the columns are unpacked and re-packed twice
+    for fam in (humphries_symplectic(2), stanek(2), hua_reiner(3)):
+        assert has_python_int_rows(word_product(sample_word(fam, 300, 3)))

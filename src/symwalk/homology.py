@@ -70,9 +70,14 @@ class HomologyDescriptor:
     torsion: tuple
 
     def __post_init__(self):
-        if type(self.betti) is not int or self.betti < 0:
-            raise ValueError("betti must be a nonnegative int, got %r"
-                             % (self.betti,))
+        try:
+            betti = operator.index(self.betti)
+        except TypeError:
+            raise ValueError("betti must be an integer, got %r"
+                             % (self.betti,)) from None
+        if betti < 0:
+            raise ValueError("betti must be nonnegative, got %r" % (betti,))
+        object.__setattr__(self, "betti", betti)
         ts = DivisorChain(tuple(self.torsion)).divisors
         if any(t <= 1 for t in ts):
             raise ValueError("torsion divisors must be > 1")

@@ -27,7 +27,7 @@ def test_humphries_cardinality(g):
     fam = humphries_symplectic(g)
     assert len(fam) == 2 * g + 1
     for m in fam.matrices:
-        assert is_symplectic(m)
+        assert m.dim == 2 * g and is_symplectic(m)
         assert det(m) == 1
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,12 +41,19 @@ def test_divisor_chain_rejects_non_integers(divisors):
     (0, (2, 5), "divisibility chain violated"),
     (0, (2.5,), "must be integers"),
     (0, (6.9, 12), "must be integers"),
-    (-1, (), "nonnegative int"),
-    (1.0, (), "nonnegative int"),
+    (-1, (), "betti must be nonnegative"),
+    (1.0, (), "betti must be an integer"),
 ])
 def test_homology_descriptor_rejects(betti, torsion, message):
     with pytest.raises(ValueError, match=message):
         HomologyDescriptor(betti, torsion)
+
+
+def test_homology_descriptor_stores_python_ints():
+    h = HomologyDescriptor(np.int64(1), (np.int64(2), np.int64(6)))
+    assert (h.betti, h.torsion) == (1, (2, 6))
+    assert type(h.betti) is int
+    assert all(type(t) is int for t in h.torsion)
 
 
 def test_snf_examples():

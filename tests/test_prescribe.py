@@ -22,7 +22,7 @@ def test_sl2_block_properties():
         s = rng.randint(1, 30)
         b = sl2_block(r, s)
         assert det(b) == 1
-        assert is_symplectic(b)
+        assert b.dim == 2 and is_symplectic(b)
         assert smith_normal_form(b - identity(2)).divisors == (r, r * s)
 
 

@@ -3,8 +3,9 @@
 Subcommands: torsion-stats, modp-rank, heegaard, lyapunov, prescribe,
 punctured, snf.  Each experiment writes a CSV of per-sample records and
 a JSON manifest echoing the full configuration; re-running with a
-manifest's config reproduces the CSV byte-for-byte (the timestamp is the
-only field that changes).
+manifest's config reproduces both byte-for-byte, on any supported Python
+version: the timestamp is the only field that changes (lyapunov aside,
+whose floats depend on the LAPACK build).
 
 Every subcommand is one entry of ``COMMANDS``: its handler, its config
 defaults, its flags and, for row-shaped output, its column schema.  The
@@ -37,11 +38,11 @@ from .intmat import IntMatrix, NotPrimeError, identity, is_prime, is_symplectic
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
-from .stats import (empirical_rank_table, linear_fit, summarize, walk_closure,
-                    walk_rank_law)
+from .stats import (WalkClosure, empirical_rank_table, linear_fit, summarize,
+                    walk_closure)
 from .walker import POSITIVE, SYMMETRIC, BatchConfig, run_batch
 
-exhaustive_sp2_oracle = walk_rank_law   # the name bench/child.py traces
+exhaustive_sp2_oracle = WalkClosure.rank_law   # the name bench/child.py traces
 
 
 class ConfigError(ValueError):
@@ -102,15 +103,10 @@ class _ModpRecord:
                      for p, closure in zip(self.primes, self.closures))
 
 
-class _HeegaardRecord:
-    def __init__(self, genus):
-        self.genus = genus
-
-    def __call__(self, word):
-        h = heegaard_homology(word.product, self.genus)
-        t = h.torsion_order
-        return (math.log(t) if t > 1 else 0.0, h.betti,
-                complexity_lower_bound(h))
+def _heegaard_record(word):
+    h = heegaard_homology(word.product)
+    t = h.torsion_order
+    return (math.log(t) if t > 1 else 0.0, h.betti, complexity_lower_bound(h))
 
 
 # --- column schemas: (name, CSV format) per column --------------------------
@@ -230,7 +226,7 @@ def cmd_modp_rank(cfg):
     for p, closure in zip(primes, record.closures):
         ranks = [r for length, _, q, r in rows if length == top and q == p]
         law = {} if closure is None else closure.rank_law(top)
-        table = empirical_rank_table(p, ranks, law)
+        table = empirical_rank_table(ranks, law)
         entry = {"empirical": {str(k): v
                                for k, v in table.frequencies.items()},
                  "predicted": {str(k): float(v) for k, v in law.items()}}
@@ -244,16 +240,15 @@ def cmd_heegaard(cfg):
     batch, fam = _batch_config(cfg)
     if not all(map(is_symplectic, fam.matrices)):
         raise ConfigError("heegaard needs a symplectic family")
-    g = fam.dim // 2
     rows = [key + record for key, record in
-            run_batch_indexed(batch, _HeegaardRecord(g))]
+            run_batch_indexed(batch, _heegaard_record)]
     groups = _column_by_length(rows, HEEGAARD_COLUMNS, "log_h1")
     top = max(batch.length_values())
     top_samples = groups.get(top, [])
     diagnostics = None
     if len(top_samples) >= 30 and len(set(top_samples)) > 1:
         diagnostics = asdict(clt_diagnostics(top_samples))
-    return rows, dict(_length_summaries(groups), genus=g,
+    return rows, dict(_length_summaries(groups), genus=fam.dim // 2,
                       clt_diagnostics_at_length=top,
                       clt_diagnostics=diagnostics)
 
@@ -263,18 +258,18 @@ def cmd_lyapunov(cfg):
         fam = make_family(cfg["family"], cfg["param"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("invalid lyapunov config: %s" % exc)
-    steps, trials = cfg["steps"], cfg["trials"]
-    if steps < 100 or trials < 1:
-        raise ConfigError("lyapunov needs steps >= 100 and trials >= 1, "
-                          "got steps %d and trials %d" % (steps, trials))
-    est = estimate_exponents(fam, steps, trials, cfg["seed"])
+    try:
+        est = estimate_exponents(fam, cfg["steps"], cfg["trials"],
+                                 cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     rows = [(i, e, se) for i, (e, se) in
             enumerate(zip(est.exponents, est.standard_error))]
     return rows, {"exponents": list(est.exponents),
                   "standard_error": list(est.standard_error),
                   "positive_sum": est.positive_sum,
-                  "trials": trials,
-                  "steps_per_trial": steps}
+                  "trials": cfg["trials"],
+                  "steps_per_trial": cfg["steps"]}
 
 
 def cmd_prescribe(cfg):

@@ -20,11 +20,10 @@ from .intmat import IntMatrix, det, inverse, mat_mul
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """An ordered, deduplicated list of integer matrix generators, each of
-    determinant 1.  It is plain, picklable data; ``walker`` compiles its
-    product kernels from ``matrices`` in each process."""
+    """An ordered list of integer matrix generators, each of determinant 1.
+    It is plain, picklable data; ``walker`` compiles its product kernels
+    from ``matrices`` in each process."""
 
-    name: str
     matrices: tuple
 
     def __post_init__(self):
@@ -77,13 +76,10 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
     """
     if g < 2:
         raise ValueError("humphries family needs genus >= 2, got %d" % g)
-    seen = []
-    for m in ([birman_u(g, i) for i in range(1, g + 1)]
-              + [birman_z(g, i) for i in range(1, g)]
-              + [birman_y(g, 1), birman_y(g, 2)]):
-        if m not in seen:
-            seen.append(m)
-    return GeneratorFamily("humphries", tuple(seen))
+    return GeneratorFamily(tuple(
+        [birman_u(g, i) for i in range(1, g + 1)]
+        + [birman_z(g, i) for i in range(1, g)]
+        + [birman_y(g, 1), birman_y(g, 2)]))
 
 
 def hru2(n: int) -> IntMatrix:
@@ -102,7 +98,7 @@ def hua_reiner(n: int) -> GeneratorFamily:
     """The two Hua-Reiner generators of SL(n, Z)."""
     if n < 2:
         raise ValueError("hua-reiner family needs n >= 2, got %d" % n)
-    return GeneratorFamily("hua-reiner", (hru2(n), hru5(n)))
+    return GeneratorFamily((hru2(n), hru5(n)))
 
 
 def stanek_r21(n: int) -> IntMatrix:
@@ -130,16 +126,12 @@ def stanek(n: int) -> GeneratorFamily:
     if n < 1:
         raise ValueError("stanek family needs n >= 1, got %d" % n)
     if n == 1:
-        return GeneratorFamily("stanek", hua_reiner(2).matrices)
+        return hua_reiner(2)
     if n in (2, 3):
         mats = (stanek_r21(n), stanek_tk(n, 1), stanek_dd(n))
     else:
         mats = (mat_mul(stanek_r21(n), stanek_tk(n, 1)), stanek_dd(n))
-    return GeneratorFamily("stanek", mats)
-
-
-def custom_family(matrices) -> GeneratorFamily:
-    return GeneratorFamily("custom", tuple(matrices))
+    return GeneratorFamily(mats)
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
@@ -149,7 +141,7 @@ def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
         inv = inverse(m)
         if inv not in mats:
             mats.append(inv)
-    return GeneratorFamily(fam.name, tuple(mats))
+    return GeneratorFamily(tuple(mats))
 
 
 def make_family(name: str, param: int) -> GeneratorFamily:

@@ -149,7 +149,7 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
                 g = gcd(nz[i], nz[j])
                 nz[i], nz[j] = g, nz[i] // g * nz[j]
     nz.sort()
-    return DivisorChain(tuple(nz) + (0,) * zeros)
+    return _unchecked(DivisorChain, divisors=tuple(nz) + (0,) * zeros)
 
 
 def _descriptor_from_chain(chain: DivisorChain, extra_betti: int = 0) -> HomologyDescriptor:
@@ -210,15 +210,18 @@ def fp_rank(m: IntMatrix, p: int) -> int:
     return 1 + _fp_nullity(m - identity(m.dim), p)
 
 
-def heegaard_homology(m: IntMatrix, g: int) -> HomologyDescriptor:
-    """First homology of the Heegaard splitting glued by a symplectic m.
+def heegaard_homology(m: IntMatrix) -> HomologyDescriptor:
+    """First homology of the Heegaard splitting glued by a symplectic m
+    of dimension 2g.
 
     Basis convention: coordinates 1..g span the handlebody Lagrangian,
     g+1..2g its complement; H1 is the cokernel of the top-right g x g
     block of m.
     """
-    if m.dim != 2 * g:
-        raise DimensionError("need a 2g x 2g matrix for genus %d" % g)
+    g, odd = divmod(m.dim, 2)
+    if odd:
+        raise DimensionError("need a 2g x 2g matrix, got dimension %d"
+                             % m.dim)
     b = _unchecked(IntMatrix, rows=tuple(row[g:] for row in m.rows[:g]))
     return _descriptor_from_chain(smith_normal_form(b))
 

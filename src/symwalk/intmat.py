@@ -159,9 +159,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3317044064679887385961981
 
 
+@lru_cache
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; exact for p < MR_EXACT_BELOW, and a
-    ValueError above it."""
+    ValueError above it.  Cached: ``mod_p`` checks its modulus on every
+    call, and a run uses few moduli."""
     if p < 2:
         return False
     if p < 4:

@@ -34,8 +34,6 @@ class FrameCollapseError(RuntimeError):
 @dataclass(frozen=True)
 class LyapunovEstimate:
     exponents: tuple            # descending, nats per step
-    trials: int
-    steps_per_trial: int
     standard_error: tuple
 
     @property
@@ -57,10 +55,9 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
 
     The trials evolve together as one (trials, dim, dim) stack; each step
     applies one letter per trial, drawn from that trial's seeded stream."""
-    if steps < 100:
-        raise ValueError("need steps >= 100, got %d" % steps)
-    if trials < 1:
-        raise ValueError("need trials >= 1, got %d" % trials)
+    if steps < 100 or trials < 1:
+        raise ValueError("lyapunov needs steps >= 100 and trials >= 1, "
+                         "got steps %d and trials %d" % (steps, trials))
     gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
     k, dim = gens.shape[:2]
     seeds = [derive_seed(seed, steps, t) for t in range(trials)]
@@ -101,8 +98,6 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
     order = np.argsort(-mean)
     return LyapunovEstimate(
         exponents=tuple(float(x) for x in mean[order]),
-        trials=trials,
-        steps_per_trial=steps,
         standard_error=tuple(float(x) for x in stderr[order]))
 
 
@@ -126,13 +121,14 @@ def clt_diagnostics(samples) -> CltDiagnostics:
     n = len(xs)
     if n < 30:
         raise ValueError("need at least 30 samples")
-    mean = sum(xs) / n
+    mean = math.fsum(xs) / n
     dev = [x - mean for x in xs]
-    m2 = sum(d * d for d in dev) / n
+    squares = math.fsum(d * d for d in dev)
+    m2 = squares / n
     if m2 == 0:
         raise ValueError("zero variance")
-    m3 = sum(d ** 3 for d in dev) / n
-    m4 = sum(d ** 4 for d in dev) / n
+    m3 = math.fsum(d ** 3 for d in dev) / n
+    m4 = math.fsum(d ** 4 for d in dev) / n
     sd = math.sqrt(m2)
     ks = 0.0
     for i, x in enumerate(xs):
@@ -140,7 +136,7 @@ def clt_diagnostics(samples) -> CltDiagnostics:
         ks = max(ks, abs((i + 1) / n - f), abs(f - i / n))
     return CltDiagnostics(
         mean=mean,
-        variance=sum(d * d for d in dev) / (n - 1),
+        variance=squares / (n - 1),
         skewness=m3 / m2 ** 1.5,
         excess_kurtosis=m4 / (m2 * m2) - 3.0,
         ks_statistic_vs_normal=ks)

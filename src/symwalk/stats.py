@@ -34,13 +34,14 @@ class StatSummary:
 
 
 def summarize(samples) -> StatSummary:
-    """Two-pass mean and sample variance, summed in ascending order."""
-    xs = sorted(float(x) for x in samples)
+    """Two-pass mean and sample variance, each sum correctly rounded
+    (``math.fsum``), so independent of order and of the Python version."""
+    xs = [float(x) for x in samples]
     n = len(xs)
     if n == 0:
         raise ValueError("empty input")
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
+    mean = math.fsum(xs) / n
+    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
     return StatSummary(n, mean, var)
 
 
@@ -58,13 +59,13 @@ def linear_fit(x, y) -> LinearFit:
     n = len(xs)
     if n != len(ys) or n < 2:
         raise ValueError("need two equal-length samples of size >= 2")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((v - mx) ** 2 for v in xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((v - mx) ** 2 for v in xs)
     if sxx == 0:
         raise ValueError("x is constant")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    syy = sum((v - my) ** 2 for v in ys)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    syy = math.fsum((v - my) ** 2 for v in ys)
     slope = sxy / sxx
     r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
     return LinearFit(slope, my - slope * mx, r2)
@@ -74,24 +75,23 @@ def linear_fit(x, y) -> LinearFit:
 class RankTable:
     """Empirical vs predicted distribution of mod-p homology ranks."""
 
-    p: int
     frequencies: dict
     predicted: dict
 
     def total_variation(self) -> float:
         keys = set(self.frequencies) | set(self.predicted)
-        return 0.5 * sum(abs(float(self.frequencies.get(k, 0))
-                             - float(self.predicted.get(k, 0)))
-                         for k in keys)
+        return 0.5 * math.fsum(abs(float(self.frequencies.get(k, 0))
+                                   - float(self.predicted.get(k, 0)))
+                               for k in keys)
 
 
-def empirical_rank_table(p: int, ranks, predicted=None) -> RankTable:
+def empirical_rank_table(ranks, predicted=None) -> RankTable:
     freq = {}
     total = len(ranks)
     for r in ranks:
         freq[r] = freq.get(r, 0) + 1
     freq = {r: c / total for r, c in sorted(freq.items())}
-    return RankTable(p, freq, predicted or {})
+    return RankTable(freq, predicted or {})
 
 
 # --- the exact law of the walk mod p ------------------------------------------
@@ -196,12 +196,3 @@ def walk_closure(family, p: int):
     rows = (tuple(map(tuple, x.tolist())) for x in group)   # Python ints
     ranks = tuple(fp_rank(_unchecked(IntMatrix, rows=r), p) for r in rows)
     return WalkClosure(tuple(table[g] for g in reduced), ranks)
-
-
-def walk_rank_law(family, p: int, length: int) -> dict:
-    """Exact law of ``fp_rank(M, p)`` for the product M of a uniform word
-    of ``length`` letters over ``family``, as ``{rank: Fraction}``: the
-    ``rank_law`` of its ``walk_closure``, or ``{}`` when |G| exceeds
-    ``GROUP_ORDER_BOUND``."""
-    closure = walk_closure(family, p)
-    return {} if closure is None else closure.rank_law(length)

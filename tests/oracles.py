@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 
-from symwalk.generators import (custom_family, humphries_symplectic,
+from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 symmetric_closure)
 from symwalk.homology import DivisorChain, fp_rank
 from symwalk.intmat import IntMatrix, det, mat_mul
@@ -219,7 +219,7 @@ def minor_gcd_divisors(m: IntMatrix):
 def aperiodic_sl2():
     """A symmetric walk on SL(2, Z) whose law mod p tends to the uniform
     law on SL(2, F_p)."""
-    return symmetric_closure(custom_family((
+    return symmetric_closure(GeneratorFamily((
         IntMatrix(((1, 1), (0, 1))),
         IntMatrix(((0, 1), (-1, 1))),
     )))
@@ -232,7 +232,7 @@ def aperiodic_sp4():
     # one even element (product of two transvections) breaks the parity
     # confinement of fixed-length walks to a single coset mod 2
     extra = mat_mul(base.matrices[0], base.matrices[3])
-    return symmetric_closure(custom_family(base.matrices + (extra,)))
+    return symmetric_closure(GeneratorFamily(base.matrices + (extra,)))
 
 
 def rank_law_by_enumeration(family, p, length):
@@ -316,6 +316,4 @@ def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
     order = np.argsort(-mean)
     return LyapunovEstimate(
         exponents=tuple(float(x) for x in mean[order]),
-        trials=trials,
-        steps_per_trial=steps,
         standard_error=tuple(float(x) for x in stderr[order]))

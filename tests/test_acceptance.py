@@ -22,7 +22,7 @@ from symwalk.intmat import IntMatrix, identity
 from symwalk.lyapunov import clt_diagnostics, estimate_exponents
 from symwalk.prescribe import prescribe_symplectic, verify_prescription
 from symwalk.punctured import run_scaling_experiment
-from symwalk.stats import empirical_rank_table, linear_fit, walk_rank_law
+from symwalk.stats import empirical_rank_table, linear_fit, walk_closure
 from symwalk.walker import BatchConfig, derive_seed, run_batch, sample_word
 
 MASTER_SEED = 20240817
@@ -125,8 +125,8 @@ def test_criterion_06_modp_equidistribution():
                                      derive_seed(MASTER_SEED + 3, length, j)
                                      ).product, p)
                  for j in range(2000)]
-        law = walk_rank_law(fam, p, length)
-        table = empirical_rank_table(p, ranks, predicted=law)
+        law = walk_closure(fam, p).rank_law(length)
+        table = empirical_rank_table(ranks, predicted=law)
         tv = table.total_variation()
         details.append("%s tv=%.4f" % (tag, tv))
         ok = ok and tv <= 0.05
@@ -207,7 +207,7 @@ def test_criterion_10_snf_against_oracle():
 
 
 def _heegaard_log(sample):
-    h = heegaard_homology(sample.product, 2)
+    h = heegaard_homology(sample.product)
     t = h.torsion_order
     return (sample.length, math.log(t) if t > 1 else 0.0, h.betti)
 
@@ -220,7 +220,7 @@ def test_criterion_11_heegaard_growth():
     xs = sorted(by_len)
     fit = linear_fit(xs, [sum(by_len[n]) / len(by_len[n]) for n in xs])
     d = clt_diagnostics(by_len[500])
-    ident = heegaard_homology(identity(4), 2)
+    ident = heegaard_homology(identity(4))
     ok = (fit.slope > 0 and fit.r_squared > 0.98
           and abs(d.skewness) < 0.25 and abs(d.excess_kurtosis) < 0.5
           and d.ks_statistic_vs_normal < 0.06

@@ -8,7 +8,7 @@ from symwalk.cli import (COMMANDS, ConfigError, _ModpRecord, fmt, main,
                          parse_lengths, read_matrix_file, threads_from_env)
 from symwalk.generators import hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
-from symwalk.stats import walk_rank_law
+from symwalk.stats import walk_closure
 from symwalk.walker import BatchConfig, derive_seed, sample_word, word_product
 
 
@@ -199,7 +199,7 @@ def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
     # modp-rank walks the symmetric closure of hua-reiner n=3 in SL(3, Z);
     # mod 2 its group is SL(3, F_2)
     table = _hua_reiner_rank_table(tmp_path, capsys, 3)
-    law = walk_rank_law(symmetric_closure(hua_reiner(3)), 2, 20)
+    law = walk_closure(symmetric_closure(hua_reiner(3)), 2).rank_law(20)
     assert table["predicted"] == {str(r): float(q) for r, q in law.items()}
     assert "total_variation" in table
 

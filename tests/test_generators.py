@@ -1,9 +1,9 @@
 import pytest
 
-from symwalk.generators import (GeneratorFamily, birman_u, birman_y,
-                                custom_family, hru2, hru5, hua_reiner,
-                                humphries_symplectic, make_family, stanek,
-                                stanek_dd, stanek_tk, symmetric_closure)
+from symwalk.generators import (GeneratorFamily, birman_u, birman_y, hru2,
+                                hru5, hua_reiner, humphries_symplectic,
+                                make_family, stanek, stanek_dd, stanek_tk,
+                                symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, is_symplectic
 from symwalk.walker import sample_word
 
@@ -62,8 +62,7 @@ def test_stanek_tk21():
 
 
 def test_stanek_n1_is_hua_reiner_sl2():
-    fam = stanek(1)
-    assert fam.matrices == hua_reiner(2).matrices
+    assert stanek(1) == hua_reiner(2)
 
 
 def test_stanek_cardinalities():
@@ -89,12 +88,12 @@ def test_all_generators_det_one():
 
 
 def test_symmetric_closure_identity():
-    fam = custom_family((identity(2),))
+    fam = GeneratorFamily((identity(2),))
     assert len(symmetric_closure(fam)) == 1
 
 
 def test_symmetric_closure_transvection():
-    fam = custom_family((IntMatrix(((1, 1), (0, 1))),))
+    fam = GeneratorFamily((IntMatrix(((1, 1), (0, 1))),))
     closed = symmetric_closure(fam)
     assert len(closed) == 2
     assert IntMatrix(((1, -1), (0, 1))) in closed.matrices
@@ -114,17 +113,18 @@ def test_det_preserved_over_long_walk():
 
 def test_family_rejects_det_not_one():
     with pytest.raises(ValueError):
-        GeneratorFamily("custom", (IntMatrix(((2, 0), (0, 1))),))
+        GeneratorFamily((IntMatrix(((2, 0), (0, 1))),))
 
 
 def test_family_rejects_mixed_dims():
     with pytest.raises(ValueError):
-        GeneratorFamily("custom", (identity(2), identity(4)))
+        GeneratorFamily((identity(2), identity(4)))
 
 
 def test_make_family_dispatch():
-    assert make_family("humphries", 2).name == "humphries"
-    assert make_family("hua-reiner", 3).name == "hua-reiner"
-    assert make_family("stanek", 2).name == "stanek"
+    assert make_family("humphries", 2) == humphries_symplectic(2)
+    assert make_family("hua-reiner", 3) == hua_reiner(3)
+    assert make_family("hua_reiner", 3) == hua_reiner(3)
+    assert make_family("stanek", 2) == stanek(2)
     with pytest.raises(ValueError):
         make_family("nope", 2)

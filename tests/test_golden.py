@@ -1,15 +1,18 @@
-"""Golden sha256 digests of fixed-seed CLI data files.
+"""Golden sha256 digests of fixed-seed CLI data files and manifests.
 
 Each exact subcommand runs at a small fixed config, once per output
 format, and the bytes of its data file must hash to the digest recorded
-here.  Any change to sampling, the exact arithmetic or the output layout
-shows up as a changed digest.
+here; so must its manifest, with the timestamp removed and the ``snf``
+matrix file reduced to its basename.  Any change to sampling, the exact
+arithmetic, the summaries or the output layout shows up as a changed
+digest.
 
-Not covered: ``lyapunov`` (its bytes depend on the LAPACK build) and the
-manifests (their float means depend on how the Python version sums).
+Not covered: ``lyapunov`` (its bytes depend on the LAPACK build).
 """
 
 import hashlib
+import json
+import os
 
 import pytest
 
@@ -60,8 +63,24 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command,kind", sorted(GOLDEN))
-def test_golden_digest(command, kind, tmp_path, capsys, monkeypatch):
+GOLDEN_MANIFESTS = {
+    "heegaard":
+        "863c1a41addc80dcc8d478064c454749c2fa134d43c8d7e4011389023dd76e4b",
+    "modp-rank":
+        "10a2b6d9c6d6e2de0576b976ea92f2789f3c0af2e82a4cd731c2ab9c696738b9",
+    "prescribe":
+        "e7ec69a9840de4de3548498b8e7f2911dfb5e0c4eb8c8fdcb6416b8a8e551db9",
+    "punctured":
+        "326416eae3008d1797434a6c304b7ad3ced82a4d610a3ce8ad6fe59dcf7f20ef",
+    "snf":
+        "59c708d2b8ae28fdf374ae5c91e15a1928a056bff6259a52c976d0b93314e0d4",
+    "torsion-stats":
+        "5b119e90eb5756a0ba55ac1896edc696fed73f7f717537c54e5f74f7aa25ee95",
+}
+
+
+def _run(command, kind, tmp_path, capsys, monkeypatch):
+    """The paths of the data file and the manifest of ``command``."""
     monkeypatch.setenv("THREADS", "1")
     argv = list(CONFIGS[command])
     if command == "snf":
@@ -69,8 +88,28 @@ def test_golden_digest(command, kind, tmp_path, capsys, monkeypatch):
         matrix.write_text(MATRIX)
         argv.append(str(matrix))
     code = main(argv + ["--format", kind, "--out", str(tmp_path / "out")])
-    data_path = capsys.readouterr().out.splitlines()[0]
+    paths = capsys.readouterr().out.splitlines()
     assert code == 0
+    return paths
+
+
+@pytest.mark.parametrize("command,kind", sorted(GOLDEN))
+def test_golden_digest(command, kind, tmp_path, capsys, monkeypatch):
+    data_path, _ = _run(command, kind, tmp_path, capsys, monkeypatch)
     with open(data_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == GOLDEN[command, kind]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_MANIFESTS))
+def test_golden_manifest_digest(command, tmp_path, capsys, monkeypatch):
+    _, manifest_path = _run(command, "csv", tmp_path, capsys, monkeypatch)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    del manifest["timestamp"]
+    if command == "snf":
+        config = manifest["config"]
+        config["matrix_file"] = os.path.basename(config["matrix_file"])
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_MANIFESTS[command]

@@ -92,6 +92,14 @@ def test_is_prime_refuses_beyond_exact_bound():
         is_prime(MR_EXACT_BELOW)
 
 
+def test_is_prime_is_decided_once_per_modulus():
+    is_prime.cache_clear()
+    m = IntMatrix(((2 ** 62, 1), (3, 2 ** 61)))
+    assert mod_p(m, 2 ** 61 - 1) == mod_p(m, 2 ** 61 - 1) == \
+        IntMatrix(((2, 1), (3, 1)))
+    assert is_prime.cache_info().misses == 1
+
+
 def test_symplectic_form_invariants():
     for g in (1, 2, 3, 5):
         j = symplectic_form(g)

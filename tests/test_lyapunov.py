@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import lyapunov_one_trial_at_a_time
-from symwalk.generators import custom_family, humphries_symplectic, make_family
+from symwalk.generators import (GeneratorFamily, humphries_symplectic,
+                                make_family)
 from symwalk.intmat import IntMatrix
 from symwalk.lyapunov import (FrameCollapseError, clt_diagnostics,
                               estimate_exponents, normal_cdf)
@@ -13,7 +14,7 @@ from symwalk.walker import derive_seed
 
 
 def test_identity_family_has_zero_exponents():
-    fam = custom_family((IntMatrix(((1, 0), (0, 1))),))
+    fam = GeneratorFamily((IntMatrix(((1, 0), (0, 1))),))
     est = estimate_exponents(fam, steps=200, trials=2, seed=1)
     assert est.exponents == (0.0, 0.0)
     assert est.positive_sum == 0.0
@@ -21,7 +22,7 @@ def test_identity_family_has_zero_exponents():
 
 def test_single_hyperbolic_matrix_gives_log_eigenvalue():
     # [[2,1],[1,1]] has eigenvalues (3 +- sqrt(5))/2
-    fam = custom_family((IntMatrix(((2, 1), (1, 1))),))
+    fam = GeneratorFamily((IntMatrix(((2, 1), (1, 1))),))
     est = estimate_exponents(fam, steps=2000, trials=1, seed=0)
     top = math.log((3 + math.sqrt(5)) / 2)
     assert est.exponents[0] == pytest.approx(top, abs=5e-3)
@@ -30,8 +31,8 @@ def test_single_hyperbolic_matrix_gives_log_eigenvalue():
 
 def test_overflowing_family_fails_loudly():
     big = 10 ** 80
-    fam = custom_family([IntMatrix(((1, big), (0, 1))),
-                         IntMatrix(((1, 0), (big, 1)))])
+    fam = GeneratorFamily((IntMatrix(((1, big), (0, 1))),
+                           IntMatrix(((1, 0), (big, 1)))))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="trial 0 \\(seed "):
         estimate_exponents(fam, 100, 2, 1)
@@ -57,8 +58,8 @@ def test_frame_collapse_names_the_trial():
     # shears by 10^20 make the two frame columns parallel in double
     # precision, so the second stretch rounds to zero
     b = 10 ** 20
-    fam = custom_family([IntMatrix(((1, 0), (b, 1))),
-                         IntMatrix(((1, b), (0, 1)))])
+    fam = GeneratorFamily((IntMatrix(((1, 0), (b, 1))),
+                           IntMatrix(((1, b), (0, 1)))))
     with pytest.raises(FrameCollapseError) as exc:
         estimate_exponents(fam, 100, 3, 9)
     assert str(exc.value).startswith(
@@ -69,9 +70,9 @@ def test_lowest_collapsed_trial_is_named_as_in_trial_order():
     # one big shear among four unit shears: trials collapse in different
     # renormalization blocks, and the error names the first trial in
     # trial order that collapses at all
-    fam = custom_family([IntMatrix(m) for m in (
+    fam = GeneratorFamily(tuple(IntMatrix(m) for m in (
         ((1, 0), (10 ** 16, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1)),
-        ((1, 0), (1, 1)), ((1, 0), (-1, 1)))])
+        ((1, 0), (1, 1)), ((1, 0), (-1, 1)))))
     with pytest.raises(FrameCollapseError) as ref:
         lyapunov_one_trial_at_a_time(fam, 100, 6, 0)
     with pytest.raises(FrameCollapseError) as est:
@@ -107,9 +108,9 @@ def test_symplectic_pairing_rough():
 
 def test_input_validation():
     fam = humphries_symplectic(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got steps 50 and trials 1$"):
         estimate_exponents(fam, steps=50, trials=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got steps 200 and trials 0$"):
         estimate_exponents(fam, steps=200, trials=0, seed=0)
 
 

@@ -6,13 +6,13 @@ import pytest
 import symwalk.stats as stats
 from oracles import (aperiodic_sl2, aperiodic_sp4, has_python_int_rows,
                      rank_law_by_enumeration)
-from symwalk.generators import (custom_family, hru5, hua_reiner,
+from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.homology import fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (RankTable, _closure_mod_p, empirical_rank_table,
-                           linear_fit, summarize, walk_closure, walk_rank_law)
+                           linear_fit, summarize, walk_closure)
 from symwalk.walker import derive_seed, sample_word
 
 
@@ -57,16 +57,15 @@ def test_linear_fit_validation():
 
 
 def test_rank_table_total_variation():
-    t = RankTable(2, {1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.5, 3: 0.25})
+    t = RankTable({1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.5, 3: 0.25})
     assert t.total_variation() == pytest.approx(0.25)
-    exact = RankTable(2, {1: 0.3, 2: 0.7}, {1: 0.3, 2: 0.7})
+    exact = RankTable({1: 0.3, 2: 0.7}, {1: 0.3, 2: 0.7})
     assert exact.total_variation() == 0.0
 
 
 def test_empirical_rank_table():
-    t = empirical_rank_table(3, [1, 1, 2, 3], predicted={1: Fraction(1, 2)})
+    t = empirical_rank_table([1, 1, 2, 3], predicted={1: Fraction(1, 2)})
     assert t.frequencies == {1: 0.5, 2: 0.25, 3: 0.25}
-    assert t.p == 3
     assert t.predicted == {1: Fraction(1, 2)}
 
 
@@ -79,12 +78,12 @@ def _near(law, limit):
 
 def test_oracle_sl2_f2():
     # the aperiodic SL(2) walk mod 2 tends to the uniform law on SL(2, F_2)
-    _near(walk_rank_law(aperiodic_sl2(), 2, 500),
+    _near(walk_closure(aperiodic_sl2(), 2).rank_law(500),
           {1: Fraction(1, 3), 2: Fraction(1, 2), 3: Fraction(1, 6)})
 
 
 def test_oracle_sl2_f3():
-    law = walk_rank_law(aperiodic_sl2(), 3, 500)
+    law = walk_closure(aperiodic_sl2(), 3).rank_law(500)
     assert sum(law.values()) == 1
     assert set(law) <= {1, 2, 3}
     # identity is the only element with full kernel: probability 1/|G|
@@ -92,7 +91,7 @@ def test_oracle_sl2_f3():
 
 
 def test_oracle_sp4_f2():
-    law = walk_rank_law(aperiodic_sp4(), 2, 500)
+    law = walk_closure(aperiodic_sp4(), 2).rank_law(500)
     _near(law, {1: Fraction(19, 45), 2: Fraction(5, 12), 3: Fraction(5, 36),
                 4: Fraction(1, 48), 5: Fraction(1, 720)})
     assert abs(law[5] - Fraction(1, 720)) < 1e-9    # identity only
@@ -100,10 +99,10 @@ def test_oracle_sp4_f2():
 
 def test_oracle_validation():
     with pytest.raises(NotPrimeError):
-        walk_rank_law(aperiodic_sl2(), 4, 10)
+        walk_closure(aperiodic_sl2(), 4)
     # Sp(4, F_3) and SL(2, F_997) exceed the group-order bound
-    assert walk_rank_law(humphries_symplectic(2), 3, 10) == {}
-    assert walk_rank_law(aperiodic_sl2(), 997, 10) == {}
+    assert walk_closure(humphries_symplectic(2), 3) is None
+    assert walk_closure(aperiodic_sl2(), 997) is None
 
 
 def test_oracle_matches_long_walk_frequencies():
@@ -112,15 +111,15 @@ def test_oracle_matches_long_walk_frequencies():
     fam = aperiodic_sl2()
     ranks = [fp_rank(sample_word(fam, 101, derive_seed(5, 101, j)).product, 2)
              for j in range(400)]
-    table = empirical_rank_table(2, ranks,
-                                 predicted=walk_rank_law(fam, 2, 101))
+    table = empirical_rank_table(
+        ranks, predicted=walk_closure(fam, 2).rank_law(101))
     assert table.total_variation() < 0.08
 
 
 H2_SYMMETRIC = symmetric_closure(humphries_symplectic(2))
 # a finite group of signed permutations: its closure mod a prime beyond
 # int64 products is small, and is computed with Python integers
-SIGNED_PERMUTATIONS = custom_family((
+SIGNED_PERMUTATIONS = GeneratorFamily((
     hru5(3),
     IntMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0))),
     IntMatrix(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))))
@@ -141,16 +140,16 @@ SIGNED_PERMUTATIONS = custom_family((
         "hua-reiner3-p3-L6", "aperiodic-sl2-p3-L5",
         "signed-permutations-p2^61-1-L5"])
 def test_walk_rank_law_equals_enumeration(family, p, length):
-    assert walk_rank_law(family, p, length) == rank_law_by_enumeration(
-        family, p, length)
+    assert walk_closure(family, p).rank_law(length) == \
+        rank_law_by_enumeration(family, p, length)
 
 
 def test_walk_rank_law_keeps_the_parity_coset():
     # every symmetric Humphries letter is a transvection, odd in
     # Sp(4, F_2) = S6: the identity (rank 5) is reached only at even
     # lengths, and a rank-4 element only at odd lengths
-    even = walk_rank_law(H2_SYMMETRIC, 2, 500)
-    odd = walk_rank_law(H2_SYMMETRIC, 2, 501)
+    closure = walk_closure(H2_SYMMETRIC, 2)
+    even, odd = closure.rank_law(500), closure.rank_law(501)
     assert 5 in even and 4 not in even
     assert 4 in odd and 5 not in odd
     assert sum(even.values()) == sum(odd.values()) == 1
@@ -180,7 +179,7 @@ def test_walk_closure_shares_tables_between_letters_alike_mod_p():
 @pytest.mark.parametrize("family, p", [
     (H2_SYMMETRIC, 2),
     # a quarter turn mod 2**61 - 1: entries too large for int64 products
-    (custom_family((IntMatrix(((0, -1), (1, 0))),)), 2 ** 61 - 1),
+    (GeneratorFamily((IntMatrix(((0, -1), (1, 0))),)), 2 ** 61 - 1),
 ], ids=["int64", "object"])
 def test_walk_closure_ranks_python_int_elements(monkeypatch, family, p):
     seen = []

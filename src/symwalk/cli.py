@@ -34,7 +34,7 @@ from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
 # Not called here (torsion_order computes it for singular samples), but
 # bench/child.py traces both under their cli names.
 from .homology import mapping_torus_homology  # noqa: F401
-from .intmat import IntMatrix, NotPrimeError, identity, is_prime, is_symplectic
+from .intmat import IntMatrix, identity, is_symplectic
 from .lyapunov import clt_diagnostics, estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
@@ -50,11 +50,6 @@ class ConfigError(ValueError):
 
 
 FLOAT = "%.17g"     # round-trippable decimal rendering of a float
-
-
-def fmt(x: float) -> str:
-    """Round-trippable decimal rendering of a float."""
-    return FLOAT % float(x)
 
 
 def parse_lengths(text: str):
@@ -168,8 +163,8 @@ def _length_summaries(groups):
 # it is the pair (CSV text, JSON document).
 
 def _batch_config(cfg):
-    """The batch of a batch subcommand's config and its named family
-    (before any symmetric closure)."""
+    """The batch of a batch subcommand's config and the family it walks
+    (after any symmetric closure)."""
     try:
         batch = BatchConfig(
             family_name=cfg["family"],
@@ -179,7 +174,7 @@ def _batch_config(cfg):
             master_seed=cfg["seed"],
             mode=cfg.get("mode", POSITIVE),
         )
-        family = make_family(batch.family_name, batch.family_param)
+        family = batch.resolve_family()
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("invalid batch config: %s" % exc)
     return batch, family
@@ -207,14 +202,11 @@ def cmd_modp_rank(cfg):
     for i, p in enumerate(primes):
         if p in primes[:i]:
             raise ConfigError("prime %d is listed twice" % p)
-        try:
-            prime = is_prime(p)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if not prime:
-            raise ConfigError("%d is not prime" % p)
-    batch, _ = _batch_config(cfg)
-    record = _ModpRecord(batch.resolve_family(), primes)
+    batch, family = _batch_config(cfg)
+    try:
+        record = _ModpRecord(family, primes)
+    except ValueError as exc:   # mod_p refuses p: not prime, or undecided
+        raise ConfigError(str(exc))
     rows = [key + (p, r) for key, ranks in run_batch_indexed(batch, record)
             for p, r in zip(primes, ranks)]
 
@@ -543,7 +535,7 @@ def main(argv=None) -> int:
     try:
         data_path, manifest_path = run_command(
             args.command, _merge_config(args), args.out, args.fmt)
-    except (ConfigError, NotPrimeError) as exc:
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -58,9 +58,6 @@ class IntMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise DimensionError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
@@ -192,7 +189,8 @@ def is_prime(p: int) -> bool:
 
 
 def mod_p(m: IntMatrix, p: int) -> IntMatrix:
-    """Entrywise reduction into [0, p) for a prime modulus."""
+    """Entrywise reduction into [0, p) for a prime modulus: the package's
+    one primality check, a ``NotPrimeError`` for a p that is not prime."""
     p = operator.index(p)
     if not is_prime(p):
         raise NotPrimeError("%d is not prime" % p)

@@ -33,10 +33,7 @@ def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
     rows = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
     for i in range(g):
         r = ds[2 * i]
-        alpha2 = ds[2 * i + 1]
-        if alpha2 % r != 0:
-            raise ValueError("divisibility violated within chain")
-        block = sl2_block(r, alpha2 // r)
+        block = sl2_block(r, ds[2 * i + 1] // r)    # a chain has r | ds[2i+1]
         # block acts on the symplectic coordinate pair (i, g+i)
         rows[i][i] = block[0, 0]
         rows[i][g + i] = block[0, 1]

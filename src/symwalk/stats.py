@@ -8,7 +8,8 @@ periodicity included, not the uniform law on some group.
 where its product lands in the closure G of the letters mod p.  One
 ``walk_closure`` per (family, p) serves both sides: its ``rank_law`` is
 the predicted law, and its ``rank`` walks a sample on G, one table lookup
-per letter, instead of building the exact product.
+per letter, instead of building the exact product.  It reduces the
+letters through ``mod_p``, the package's one check that p is prime.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .homology import fp_rank
-from .intmat import IntMatrix, NotPrimeError, _unchecked, is_prime
+from .intmat import IntMatrix, _unchecked, mod_p
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,9 @@ class WalkClosure:
 
 def walk_closure(family, p: int):
     """The ``WalkClosure`` of ``family`` mod the prime p, or None when |G|
-    exceeds ``GROUP_ORDER_BOUND``."""
-    if not is_prime(p):
-        raise NotPrimeError("%d is not prime" % p)
-    reduced = [tuple(tuple(x % p for x in row) for row in m.rows)
-               for m in family.matrices]
+    exceeds ``GROUP_ORDER_BOUND``; ``mod_p`` refuses a p that is not
+    prime."""
+    reduced = [mod_p(m, p).rows for m in family.matrices]
     distinct = list(dict.fromkeys(reduced))
     closure = _closure_mod_p(distinct, p)
     if closure is None:

@@ -246,7 +246,6 @@ class BatchError(RuntimeError):
                          % (length, index, cause))
         self.length = length
         self.index = index
-        self.cause = cause
 
 
 def _run_one(args):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from symwalk.cli import (COMMANDS, ConfigError, _ModpRecord, fmt, main,
+from symwalk.cli import (COMMANDS, FLOAT, ConfigError, _ModpRecord, main,
                          parse_lengths, read_matrix_file, threads_from_env)
 from symwalk.generators import hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
@@ -25,8 +25,8 @@ def _run(capsys, argv):
 
 def test_fmt_round_trips():
     for x in (0.1, 1 / 3, 12345.678901234567, -0.0):
-        assert float(fmt(x)) == x
-    assert fmt(1.0) == "1"
+        assert float(FLOAT % x) == x
+    assert FLOAT % 1.0 == "1"
 
 
 def test_parse_lengths():
@@ -364,6 +364,14 @@ def test_json_format_output(tmp_path, capsys):
     (["punctured", "--lengths", "64,0"], "[64, 0]"),
     (["punctured", "--lengths", "64,64"], "distinct lengths, got [64, 64]"),
     (["punctured", "--alphabet", "4294967296"], "alphabet 4294967296"),
+    (["modp-rank", "--primes", "4"], "4 is not prime"),
+    (["modp-rank", "--primes", "1"], "1 is not prime"),
+    (["modp-rank", "--primes", "3317044064679887385961981"],
+     "only decided below"),
+    (["heegaard", "--family", "hua-reiner", "--n", "3"],
+     "heegaard needs a symplectic family"),
+    (["heegaard", "--family", "hua-reiner", "--n", "3", "--mode",
+      "symmetric"], "heegaard needs a symplectic family"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])
@@ -431,6 +439,7 @@ def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
      "lyapunov does not read config key 'mode'"),
     ("snf", {"matrix_file": "m.txt", "seed": 1},
      "snf does not read config key 'seed'"),
+    ("modp-rank", {"primes": []}, "modp-rank needs at least one prime"),
 ])
 def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
                                          bad):

@@ -34,12 +34,12 @@ from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
 # Not called here (torsion_order computes it for singular samples), but
 # bench/child.py traces both under their cli names.
 from .homology import mapping_torus_homology  # noqa: F401
-from .intmat import IntMatrix, identity, is_symplectic
-from .lyapunov import clt_diagnostics, estimate_exponents
+from .intmat import IntMatrix, is_symplectic
+from .lyapunov import estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
-from .stats import (WalkClosure, empirical_rank_table, linear_fit, summarize,
-                    walk_closure)
+from .stats import (WalkClosure, clt_diagnostics, empirical_rank_table,
+                    linear_fit, summarize, total_variation, walk_closure)
 from .walker import POSITIVE, SYMMETRIC, BatchConfig, run_batch
 
 exhaustive_sp2_oracle = WalkClosure.rank_law   # the name bench/child.py traces
@@ -172,7 +172,7 @@ def _batch_config(cfg):
             lengths=tuple(cfg["lengths"]),
             samples_per_length=cfg["samples"],
             master_seed=cfg["seed"],
-            mode=cfg.get("mode", POSITIVE),
+            mode=cfg["mode"],
         )
         family = batch.resolve_family()
     except (KeyError, ValueError, TypeError) as exc:
@@ -180,23 +180,16 @@ def _batch_config(cfg):
     return batch, family
 
 
-def run_batch_indexed(batch: BatchConfig, per_sample):
-    """run_batch plus the (length, sample_index) key for each record."""
-    keys = [(length, j) for length in batch.length_values()
-            for j in range(batch.samples_per_length)]
-    return zip(keys, run_batch(batch, per_sample, threads=threads_from_env()))
-
-
 def cmd_torsion_stats(cfg):
     batch, _ = _batch_config(cfg)
-    rows = [key + record for key, record in
-            run_batch_indexed(batch, _torsion_record)]
+    rows = [(length, j) + record for length, j, record in
+            run_batch(batch, _torsion_record, threads=threads_from_env())]
     return rows, _length_summaries(
         _column_by_length(rows, TORSION_COLUMNS, "log_torsion"))
 
 
 def cmd_modp_rank(cfg):
-    primes = cfg.get("primes", [])
+    primes = cfg["primes"]
     if not primes:
         raise ConfigError("modp-rank needs at least one prime")
     for i, p in enumerate(primes):
@@ -207,7 +200,8 @@ def cmd_modp_rank(cfg):
         record = _ModpRecord(family, primes)
     except ValueError as exc:   # mod_p refuses p: not prime, or undecided
         raise ConfigError(str(exc))
-    rows = [key + (p, r) for key, ranks in run_batch_indexed(batch, record)
+    rows = [(length, j, p, r) for length, j, ranks in
+            run_batch(batch, record, threads=threads_from_env())
             for p, r in zip(primes, ranks)]
 
     # empirical distribution at the largest length, with the exact law of
@@ -218,12 +212,11 @@ def cmd_modp_rank(cfg):
     for p, closure in zip(primes, record.closures):
         ranks = [r for length, _, q, r in rows if length == top and q == p]
         law = {} if closure is None else closure.rank_law(top)
-        table = empirical_rank_table(ranks, law)
-        entry = {"empirical": {str(k): v
-                               for k, v in table.frequencies.items()},
+        table = empirical_rank_table(ranks)
+        entry = {"empirical": {str(k): v for k, v in table.items()},
                  "predicted": {str(k): float(v) for k, v in law.items()}}
         if law:
-            entry["total_variation"] = table.total_variation()
+            entry["total_variation"] = total_variation(table, law)
         tables[str(p)] = entry
     return rows, {"rank_tables_at_length": top, "rank_tables": tables}
 
@@ -232,8 +225,8 @@ def cmd_heegaard(cfg):
     batch, fam = _batch_config(cfg)
     if not all(map(is_symplectic, fam.matrices)):
         raise ConfigError("heegaard needs a symplectic family")
-    rows = [key + record for key, record in
-            run_batch_indexed(batch, _heegaard_record)]
+    rows = [(length, j) + record for length, j, record in
+            run_batch(batch, _heegaard_record, threads=threads_from_env())]
     groups = _column_by_length(rows, HEEGAARD_COLUMNS, "log_h1")
     top = max(batch.length_values())
     top_samples = groups.get(top, [])
@@ -284,8 +277,7 @@ def cmd_prescribe(cfg):
     return (csv_text, {"matrix": matrix, "verification": True}), {
         "matrix": matrix,
         "verification": True,
-        "snf_of_m_minus_i": list(smith_normal_form(
-            m - identity(m.dim)).divisors),
+        "snf_of_m_minus_i": list(chain.divisors),
     }
 
 
@@ -323,9 +315,7 @@ def cmd_snf(cfg):
     divisors = list(smith_normal_form(
         read_matrix_file(cfg["matrix_file"])).divisors)
     csv_text = render((("divisor", "%d"),), [(d,) for d in divisors])
-    # the manifest echoes only the matrix file, not the whole config
-    return (csv_text, {"divisors": divisors}), {
-        "config": {"matrix_file": cfg["matrix_file"]}, "divisors": divisors}
+    return (csv_text, {"divisors": divisors}), {"divisors": divisors}
 
 
 # --- the command table ----------------------------------------------------------

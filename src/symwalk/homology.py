@@ -56,10 +56,6 @@ class DivisorChain:
     def zero_count(self) -> int:
         return sum(1 for d in self.divisors if d == 0)
 
-    @property
-    def nonzero(self) -> tuple:
-        return tuple(d for d in self.divisors if d != 0)
-
 
 @dataclass(frozen=True)
 class HomologyDescriptor:

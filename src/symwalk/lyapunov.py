@@ -1,4 +1,4 @@
-"""Floating-point Lyapunov spectrum estimation and CLT diagnostics.
+"""Floating-point Lyapunov spectrum estimation.
 
 This is the one deliberately inexact corner of the codebase: exponents
 are drifts of log singular values, estimated by evolving an orthonormal
@@ -100,43 +100,3 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
         exponents=tuple(float(x) for x in mean[order]),
         standard_error=tuple(float(x) for x in stderr[order]))
 
-
-@dataclass(frozen=True)
-class CltDiagnostics:
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    ks_statistic_vs_normal: float
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def clt_diagnostics(samples) -> CltDiagnostics:
-    """Moment statistics plus the KS distance to the normal with matched
-    mean and variance."""
-    xs = sorted(float(x) for x in samples)
-    n = len(xs)
-    if n < 30:
-        raise ValueError("need at least 30 samples")
-    mean = math.fsum(xs) / n
-    dev = [x - mean for x in xs]
-    squares = math.fsum(d * d for d in dev)
-    m2 = squares / n
-    if m2 == 0:
-        raise ValueError("zero variance")
-    m3 = math.fsum(d ** 3 for d in dev) / n
-    m4 = math.fsum(d ** 4 for d in dev) / n
-    sd = math.sqrt(m2)
-    ks = 0.0
-    for i, x in enumerate(xs):
-        f = normal_cdf((x - mean) / sd)
-        ks = max(ks, abs((i + 1) / n - f), abs(f - i / n))
-    return CltDiagnostics(
-        mean=mean,
-        variance=squares / (n - 1),
-        skewness=m3 / m2 ** 1.5,
-        excess_kurtosis=m4 / (m2 * m2) - 3.0,
-        ks_statistic_vs_normal=ks)

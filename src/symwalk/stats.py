@@ -1,5 +1,8 @@
-"""Per-length summaries (count, mean, variance), OLS regression, and the
-exact law of mod-p ranks under a walk, for mod-p equidistribution checks.
+"""Every statistic the experiments report: per-length summaries (count,
+mean, variance), OLS regression, CLT diagnostics, empirical rank tables
+and their total variation, and the exact law of mod-p ranks under a walk.
+A deviation is squared as ``d * d`` throughout (``** 2`` calls libm's
+``pow``), so ``summarize`` and ``clt_diagnostics`` agree on a variance.
 
 The predicted rank law is that of the walk that is sampled, cosets and
 periodicity included, not the uniform law on some group.
@@ -42,7 +45,8 @@ def summarize(samples) -> StatSummary:
     if n == 0:
         raise ValueError("empty input")
     mean = math.fsum(xs) / n
-    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
+    var = (math.fsum((x - mean) * (x - mean) for x in xs) / (n - 1)
+           if n > 1 else 0.0)
     return StatSummary(n, mean, var)
 
 
@@ -62,37 +66,68 @@ def linear_fit(x, y) -> LinearFit:
         raise ValueError("need two equal-length samples of size >= 2")
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxx = math.fsum((v - mx) ** 2 for v in xs)
+    sxx = math.fsum((v - mx) * (v - mx) for v in xs)
     if sxx == 0:
         raise ValueError("x is constant")
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    syy = math.fsum((v - my) ** 2 for v in ys)
+    syy = math.fsum((v - my) * (v - my) for v in ys)
     slope = sxy / sxx
     r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
     return LinearFit(slope, my - slope * mx, r2)
 
 
+def empirical_rank_table(ranks) -> dict:
+    """``{rank: frequency}`` of a sample of ranks, in rank order."""
+    counts = Counter(ranks)
+    return {r: c / len(ranks) for r, c in sorted(counts.items())}
+
+
+def total_variation(p: dict, q: dict) -> float:
+    """Total variation distance between two laws ``{value: probability}``;
+    a value missing from one law has probability 0 there."""
+    return 0.5 * math.fsum(abs(float(p.get(k, 0)) - float(q.get(k, 0)))
+                           for k in set(p) | set(q))
+
+
 @dataclass(frozen=True)
-class RankTable:
-    """Empirical vs predicted distribution of mod-p homology ranks."""
-
-    frequencies: dict
-    predicted: dict
-
-    def total_variation(self) -> float:
-        keys = set(self.frequencies) | set(self.predicted)
-        return 0.5 * math.fsum(abs(float(self.frequencies.get(k, 0))
-                                   - float(self.predicted.get(k, 0)))
-                               for k in keys)
+class CltDiagnostics:
+    mean: float
+    variance: float
+    skewness: float
+    excess_kurtosis: float
+    ks_statistic_vs_normal: float
 
 
-def empirical_rank_table(ranks, predicted=None) -> RankTable:
-    freq = {}
-    total = len(ranks)
-    for r in ranks:
-        freq[r] = freq.get(r, 0) + 1
-    freq = {r: c / total for r, c in sorted(freq.items())}
-    return RankTable(freq, predicted or {})
+def normal_cdf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def clt_diagnostics(samples) -> CltDiagnostics:
+    """Moment statistics plus the KS distance to the normal with matched
+    mean and variance."""
+    xs = sorted(float(x) for x in samples)
+    n = len(xs)
+    if n < 30:
+        raise ValueError("need at least 30 samples")
+    mean = math.fsum(xs) / n
+    dev = [x - mean for x in xs]
+    squares = math.fsum(d * d for d in dev)
+    m2 = squares / n
+    if m2 == 0:
+        raise ValueError("zero variance")
+    m3 = math.fsum(d ** 3 for d in dev) / n
+    m4 = math.fsum(d ** 4 for d in dev) / n
+    sd = math.sqrt(m2)
+    ks = 0.0
+    for i, x in enumerate(xs):
+        f = normal_cdf((x - mean) / sd)
+        ks = max(ks, abs((i + 1) / n - f), abs(f - i / n))
+    return CltDiagnostics(
+        mean=mean,
+        variance=squares / (n - 1),
+        skewness=m3 / m2 ** 1.5,
+        excess_kurtosis=m4 / (m2 * m2) - 3.0,
+        ks_statistic_vs_normal=ks)
 
 
 # --- the exact law of the walk mod p ------------------------------------------

@@ -47,6 +47,7 @@ a caller builds is checked.
 from __future__ import annotations
 
 import contextlib
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -113,9 +114,14 @@ class Word:
 
     def __post_init__(self):
         k = len(self.family)
-        if self.letters and (min(self.letters) < 0 or max(self.letters) >= k):
-            bad = next(i for i in self.letters if not 0 <= i < k)
-            raise ValueError("letter %d out of range for family of %d" % (bad, k))
+        for a in self.letters:
+            try:
+                ok = 0 <= operator.index(a) < k
+            except TypeError:
+                raise ValueError("letter %r is not an integer" % (a,))
+            if not ok:
+                raise ValueError("letter %d out of range for family of %d"
+                                 % (a, k))
 
     @property
     def length(self) -> int:
@@ -139,12 +145,19 @@ class BatchConfig:
     mode: str = POSITIVE
 
     def __post_init__(self):
+        if len(self.lengths) != 3:
+            raise ValueError("lengths must be (start, end, step), got %r"
+                             % (self.lengths,))
         start, end, step = self.lengths
-        if start < 1 or step < 1 or self.samples_per_length < 1:
-            raise ValueError("lengths must start >= 1, step >= 1, samples >= 1")
+        if start < 1 or step < 1:
+            raise ValueError("lengths must start >= 1 with step >= 1, got "
+                             "%d:%d:%d" % (start, end, step))
+        if self.samples_per_length < 1:
+            raise ValueError("samples must be >= 1, got %d"
+                             % self.samples_per_length)
         if end < start:
             raise ValueError("lengths %d:%d:%d end before they start"
-                             % self.lengths)
+                             % (start, end, step))
         if self.mode not in (POSITIVE, SYMMETRIC):
             raise ValueError("unknown mode %r" % self.mode)
 
@@ -254,9 +267,9 @@ def _run_one(args):
 
 
 def run_batch(config: BatchConfig, per_sample, threads: int = 1):
-    """Yield per_sample(Word) records in deterministic (length, index)
-    order.  With threads > 1 and more than one sample, the samples are
-    computed by a process pool of at most one worker per sample
+    """Yield ``(length, index, per_sample(Word))`` in deterministic
+    (length, index) order.  With threads > 1 and more than one sample, a
+    process pool of at most one worker per sample computes the records
     (per_sample must then be picklable); the emission order is unchanged.
     """
     family = config.resolve_family()
@@ -276,6 +289,6 @@ def run_batch(config: BatchConfig, per_sample, threads: int = 1):
             results = pool.map(_run_one, tasks, chunksize=chunk)
         for _, length, j, _, _ in tasks:
             try:
-                yield next(results)
+                yield length, j, next(results)
             except Exception as exc:
                 raise BatchError(length, j, exc) from exc

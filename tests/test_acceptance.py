@@ -19,10 +19,11 @@ from symwalk.homology import (DivisorChain, fp_rank, heegaard_homology,
                               mapping_torus_homology, smith_normal_form,
                               torsion_order)
 from symwalk.intmat import IntMatrix, identity
-from symwalk.lyapunov import clt_diagnostics, estimate_exponents
+from symwalk.lyapunov import estimate_exponents
 from symwalk.prescribe import prescribe_symplectic, verify_prescription
 from symwalk.punctured import run_scaling_experiment
-from symwalk.stats import empirical_rank_table, linear_fit, walk_closure
+from symwalk.stats import (clt_diagnostics, empirical_rank_table, linear_fit,
+                           total_variation, walk_closure)
 from symwalk.walker import BatchConfig, derive_seed, run_batch, sample_word
 
 MASTER_SEED = 20240817
@@ -35,14 +36,13 @@ def _report(tag, ok, detail):
 
 def _log_torsion(sample):
     t = torsion_order(sample.product)
-    return (sample.length, math.log(t.value) if t.value > 1 else 0.0,
-            t.singular)
+    return math.log(t.value) if t.value > 1 else 0.0
 
 
 def _torsion_slope(genus, seed):
     cfg = BatchConfig("humphries", genus, (100, 500, 50), 200, seed)
     by_len = {}
-    for length, logt, _ in run_batch(cfg, _log_torsion):
+    for length, _, logt in run_batch(cfg, _log_torsion):
         by_len.setdefault(length, []).append(logt)
     xs = sorted(by_len)
     ys = [sum(by_len[n]) / len(by_len[n]) for n in xs]
@@ -89,7 +89,7 @@ def test_criterion_03_stanek_torsion_rate():
 
 def test_criterion_04_clt_log_torsion():
     cfg = BatchConfig("humphries", 2, (500, 500, 1), 500, MASTER_SEED + 1)
-    samples = [logt for _, logt, _ in run_batch(cfg, _log_torsion)]
+    samples = [logt for _, _, logt in run_batch(cfg, _log_torsion)]
     d = clt_diagnostics(samples)
     ok = (abs(d.skewness) < 0.25 and abs(d.excess_kurtosis) < 0.5
           and d.ks_statistic_vs_normal < 0.06)
@@ -104,7 +104,7 @@ def _betti_record(sample):
 
 def test_criterion_05_generic_betti_one():
     cfg = BatchConfig("humphries", 2, (200, 200, 1), 1000, MASTER_SEED + 2)
-    bettis = list(run_batch(cfg, _betti_record))
+    bettis = [b for _, _, b in run_batch(cfg, _betti_record)]
     frac = sum(1 for b in bettis if b > 1) / len(bettis)
     ok = frac <= 0.01
     _report("generic-betti-one", ok,
@@ -126,8 +126,7 @@ def test_criterion_06_modp_equidistribution():
                                      ).product, p)
                  for j in range(2000)]
         law = walk_closure(fam, p).rank_law(length)
-        table = empirical_rank_table(ranks, predicted=law)
-        tv = table.total_variation()
+        tv = total_variation(empirical_rank_table(ranks), law)
         details.append("%s tv=%.4f" % (tag, tv))
         ok = ok and tv <= 0.05
         if tag == "SL2/F2":
@@ -207,15 +206,14 @@ def test_criterion_10_snf_against_oracle():
 
 
 def _heegaard_log(sample):
-    h = heegaard_homology(sample.product)
-    t = h.torsion_order
-    return (sample.length, math.log(t) if t > 1 else 0.0, h.betti)
+    t = heegaard_homology(sample.product).torsion_order
+    return math.log(t) if t > 1 else 0.0
 
 
 def test_criterion_11_heegaard_growth():
     cfg = BatchConfig("humphries", 2, (100, 500, 100), 300, MASTER_SEED + 4)
     by_len = {}
-    for length, logh, _ in run_batch(cfg, _heegaard_log):
+    for length, _, logh in run_batch(cfg, _heegaard_log):
         by_len.setdefault(length, []).append(logh)
     xs = sorted(by_len)
     fit = linear_fit(xs, [sum(by_len[n]) / len(by_len[n]) for n in xs])

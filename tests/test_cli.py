@@ -372,6 +372,9 @@ def test_json_format_output(tmp_path, capsys):
      "heegaard needs a symplectic family"),
     (["heegaard", "--family", "hua-reiner", "--n", "3", "--mode",
       "symmetric"], "heegaard needs a symplectic family"),
+    (["torsion-stats", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["heegaard", "--lengths", "0:10"],
+     "lengths must start >= 1 with step >= 1, got 0:10:1"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])
@@ -440,6 +443,10 @@ def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
     ("snf", {"matrix_file": "m.txt", "seed": 1},
      "snf does not read config key 'seed'"),
     ("modp-rank", {"primes": []}, "modp-rank needs at least one prime"),
+    ("torsion-stats", {"lengths": [1, 2]},
+     "lengths must be (start, end, step), got (1, 2)"),
+    ("heegaard", {"lengths": [1, 2, 3, 4]},
+     "lengths must be (start, end, step), got (1, 2, 3, 4)"),
 ])
 def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
                                          bad):

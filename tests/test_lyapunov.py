@@ -8,8 +8,8 @@ from oracles import lyapunov_one_trial_at_a_time
 from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 make_family)
 from symwalk.intmat import IntMatrix
-from symwalk.lyapunov import (FrameCollapseError, clt_diagnostics,
-                              estimate_exponents, normal_cdf)
+from symwalk.lyapunov import FrameCollapseError, estimate_exponents
+from symwalk.stats import clt_diagnostics, normal_cdf
 from symwalk.walker import derive_seed
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import pickle
 import random
+import re
 import weakref
 
 import numpy as np
@@ -69,10 +70,26 @@ def test_word_length_must_be_positive():
 def test_word_rejects_out_of_range_letters():
     fam = hua_reiner(2)
     # the message names the first letter out of range
-    for word, bad in (((0, 2), 2), ((1, 0, 5, -1, 2), 5), ((0, -1), -1)):
+    for word, bad in (((0, 2), 2), ((1, 0, 5, -1, 2), 5), ((0, -1), -1),
+                      ((np.int64(2),), 2)):
         with pytest.raises(ValueError, match=r"^letter %d out of range for "
                                              r"family of 2$" % bad):
             Word(fam, word)
+
+
+@pytest.mark.parametrize("letter", [0.5, 1.0, "a", None, np.float64(1.0)],
+                         ids=["half", "float", "str", "none", "float64"])
+def test_word_rejects_letters_that_are_not_integers(letter):
+    # checked where the letter enters, not deep inside word_product
+    with pytest.raises(ValueError, match="^letter %s is not an integer$"
+                                         % re.escape(repr(letter))):
+        Word(hua_reiner(2), (0, letter))
+
+
+def test_word_accepts_numpy_integer_letters():
+    fam = hua_reiner(2)
+    word = Word(fam, (np.uint8(1), np.int64(0)))
+    assert word.product == word_product(Word(fam, (1, 0)))
 
 
 def test_word_product_single_letter():
@@ -210,6 +227,19 @@ def _pickleable_record(sample):
     return (sample.length, sample.product.rows)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_batch_labels_each_record(threads):
+    cfg = BatchConfig("hua-reiner", 2, (50, 100, 50), 3, 2718)
+    got = list(run_batch(cfg, _pickleable_record, threads=threads))
+    assert [(length, j) for length, j, _ in got] == [
+        (50, 0), (50, 1), (50, 2), (100, 0), (100, 1), (100, 2)]
+    family = cfg.resolve_family()
+    assert [record for _, _, record in got] == [
+        _pickleable_record(sample_word(family, length,
+                                       derive_seed(2718, length, j)))
+        for length, j, _ in got]
+
+
 def test_run_batch_parallel_matches_serial():
     cfg = BatchConfig("hua-reiner", 2, (50, 100, 50), 4, 2718)
     serial = list(run_batch(cfg, _pickleable_record, threads=1))
@@ -257,8 +287,9 @@ def test_run_batch_pool_has_no_more_workers_than_samples(
     cfg = BatchConfig("hua-reiner", 2, (5, 5, 1), samples, 11)
     got = list(run_batch(cfg, _pickleable_record, threads=threads))
     assert len(got) == samples
-    assert got == [_pickleable_record(sample_word(
-        cfg.resolve_family(), 5, derive_seed(11, 5, j))) for j in range(samples)]
+    assert got == [(5, j, _pickleable_record(sample_word(
+        cfg.resolve_family(), 5, derive_seed(11, 5, j))))
+        for j in range(samples)]
     made = _RecordingPool.made
     assert [(p.max_workers, p.chunksize) for p in made] == (
         [] if workers is None else [(workers, chunk)])
@@ -296,6 +327,8 @@ def test_batch_config_validation():
         BatchConfig("humphries", 2, (1, 10, 1), 1, 0, mode="weird")
     with pytest.raises(ValueError, match="lengths 500:100:1 end before"):
         BatchConfig("humphries", 2, (500, 100, 1), 1, 0)
+    with pytest.raises(ValueError, match="lengths 500:100:1 end before"):
+        BatchConfig("humphries", 2, [500, 100, 1], 1, 0)    # a list, too
 
 
 def test_symmetric_mode_resolves_closed_family():

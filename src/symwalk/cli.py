@@ -175,7 +175,7 @@ def _batch_config(cfg):
             mode=cfg["mode"],
         )
         family = batch.resolve_family()
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("invalid batch config: %s" % exc)
     return batch, family
 
@@ -241,7 +241,7 @@ def cmd_heegaard(cfg):
 def cmd_lyapunov(cfg):
     try:
         fam = make_family(cfg["family"], cfg["param"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("invalid lyapunov config: %s" % exc)
     try:
         est = estimate_exponents(fam, cfg["steps"], cfg["trials"],
@@ -442,25 +442,27 @@ def _load_config(path):
     return doc
 
 
-# config keys whose values are integers, and lists of integers
-INT_KEYS = ("param", "samples", "seed", "steps", "trials", "alphabet")
-INT_LIST_KEYS = ("lengths", "primes", "chain")
-
-
-def _check_ints(cfg):
-    """Integer config values must be JSON integers: true, false, floats and
-    strings are config errors naming the key, never truncated."""
-    for key, value in cfg.items():
-        if key in INT_LIST_KEYS:
+def _check_types(cfg, flags):
+    """Each config value must have the JSON type its flag declares: an
+    integer for a ``type=int`` flag, a list of integers for a flag with a
+    converter, a string for a text flag.  Nothing is truncated or coerced
+    (true is not 1, 2.0 is not 2); the error names the key."""
+    for _, key, convert, options in flags:
+        if key not in cfg:
+            continue
+        value = cfg[key]
+        kind = options.get("type", int if convert else str)
+        if convert:
             if not isinstance(value, list):
                 raise ConfigError("%s must be a list of integers, got %r"
                                   % (key, value))
             named = [("%s[%d]" % (key, i), v) for i, v in enumerate(value)]
         else:
-            named = [(key, value)] if key in INT_KEYS else []
+            named = [(key, value)]
         for name, v in named:
-            if type(v) is not int:
-                raise ConfigError("%s must be an integer, got %r" % (name, v))
+            if type(v) is not kind:
+                raise ConfigError("%s must be %s, got %r" % (
+                    name, "an integer" if kind is int else "a string", v))
 
 
 def _merge_config(args) -> dict:
@@ -479,9 +481,9 @@ def _merge_config(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = convert(value) if convert else value
+    _check_types(cfg, command.flags)
     if cfg.get("mode") == "positive":   # from the flag or a config file
         cfg["mode"] = POSITIVE          # the name manifests record
-    _check_ints(cfg)
     return cfg
 
 

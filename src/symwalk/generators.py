@@ -7,8 +7,9 @@ Three named families:
 * ``hua-reiner``: the two-element generating set of SL(n, Z).
 * ``stanek``: the two/three-element generating set of Sp(2n, Z).
 
-Indexing below follows the 1-based conventions of the original listings
-and is converted to 0-based internally.
+Each generator is written as its entries: ``_matrix`` takes them at the
+1-based positions of the original listings, over the identity (or, for
+the cyclic ``hru5`` and ``stanek_dd``, over zero).
 """
 
 from __future__ import annotations
@@ -44,28 +45,26 @@ class GeneratorFamily:
         return len(self.matrices)
 
 
-def _unit(n: int, i: int, j: int, value: int = 1) -> IntMatrix:
-    """Identity plus ``value`` at 1-based position (i, j)."""
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1][j - 1] += value
-    return IntMatrix(tuple(tuple(r) for r in rows))
+def _matrix(n: int, entries: dict, diagonal: int = 1) -> IntMatrix:
+    """The n x n matrix with the given 1-based ``{(i, j): value}`` entries,
+    ``diagonal`` elsewhere on the diagonal and 0 elsewhere off it."""
+    rows = [[diagonal if r == c else 0 for c in range(n)] for r in range(n)]
+    for (i, j), value in entries.items():
+        rows[i - 1][j - 1] = value
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def birman_y(g: int, i: int) -> IntMatrix:
-    return _unit(2 * g, i, g + i, -1)
+    return _matrix(2 * g, {(i, g + i): -1})
 
 
 def birman_u(g: int, i: int) -> IntMatrix:
-    return _unit(2 * g, g + i, i, 1)
+    return _matrix(2 * g, {(g + i, i): 1})
 
 
 def birman_z(g: int, i: int) -> IntMatrix:
-    rows = [[1 if r == c else 0 for c in range(2 * g)] for r in range(2 * g)]
-    rows[i - 1][g + i - 1] = -1
-    rows[i][g + i] = -1
-    rows[i - 1][g + i] = 1
-    rows[i][g + i - 1] = 1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return _matrix(2 * g, {(i, g + i): -1, (i, g + i + 1): 1,
+                           (i + 1, g + i): 1, (i + 1, g + i + 1): -1})
 
 
 def humphries_symplectic(g: int) -> GeneratorFamily:
@@ -83,15 +82,12 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
 
 
 def hru2(n: int) -> IntMatrix:
-    return _unit(n, 1, 2, 1)
+    return _matrix(n, {(1, 2): 1})
 
 
 def hru5(n: int) -> IntMatrix:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    rows[0][n - 1] = (-1) ** (n - 1)
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return _matrix(n, {**{(i + 1, i): 1 for i in range(1, n)},
+                       (1, n): (-1) ** (n - 1)}, diagonal=0)
 
 
 def hua_reiner(n: int) -> GeneratorFamily:
@@ -102,23 +98,16 @@ def hua_reiner(n: int) -> GeneratorFamily:
 
 
 def stanek_r21(n: int) -> IntMatrix:
-    rows = [[1 if r == c else 0 for c in range(2 * n)] for r in range(2 * n)]
-    rows[1][0] = 1
-    rows[n][n + 1] = -1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return _matrix(2 * n, {(2, 1): 1, (n + 1, n + 2): -1})
 
 
 def stanek_tk(n: int, k: int) -> IntMatrix:
-    return _unit(2 * n, n + k, k, 1)
+    return _matrix(2 * n, {(n + k, k): 1})
 
 
 def stanek_dd(n: int) -> IntMatrix:
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(2 * n - 1):
-        rows[i][i + 1] = 1
-    rows[n - 1][n] = -1
-    rows[2 * n - 1][0] = 1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return _matrix(2 * n, {**{(i, i + 1): 1 for i in range(1, 2 * n)},
+                           (n, n + 1): -1, (2 * n, 1): 1}, diagonal=0)
 
 
 def stanek(n: int) -> GeneratorFamily:

@@ -1,9 +1,11 @@
 """Smith normal form over Z and the homology invariants built on it.
 
-The divisor chain of M - I classifies the first homology of the mapping
-torus with monodromy action M; the top-right block of a symplectic gluing
-matrix classifies the first homology of the corresponding Heegaard
-splitting.
+Each first homology group here is the cokernel of an integer matrix, so
+the ``DivisorChain`` of that matrix's Smith form is the group: its zeros
+are the free factors and its divisors > 1 the torsion.  The mapping torus
+with monodromy action M has H1 = coker diag(M - I, 0); the Heegaard
+splitting glued by a symplectic matrix has H1 = the cokernel of its
+top-right block.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .intmat import (DimensionError, IntMatrix, _unchecked, det, identity,
 
 @dataclass(frozen=True)
 class DivisorChain:
-    """Elementary divisors d1 | d2 | ... | dr; 0 encodes a free factor."""
+    """Elementary divisors d1 | d2 | ... | dr; 0 encodes a free factor.
+    As the group Z/d1 + ... + Z/dr it has free rank ``betti`` and torsion
+    factors ``torsion``."""
 
     divisors: tuple
 
@@ -49,35 +53,12 @@ class DivisorChain:
                 prev = d
 
     @property
-    def rank(self) -> int:
-        return len(self.divisors)
+    def betti(self) -> int:
+        return self.divisors.count(0)
 
     @property
-    def zero_count(self) -> int:
-        return sum(1 for d in self.divisors if d == 0)
-
-
-@dataclass(frozen=True)
-class HomologyDescriptor:
-    """A finitely generated abelian group: free rank plus torsion divisors,
-    a divisor chain of integers > 1."""
-
-    betti: int
-    torsion: tuple
-
-    def __post_init__(self):
-        try:
-            betti = operator.index(self.betti)
-        except TypeError:
-            raise ValueError("betti must be an integer, got %r"
-                             % (self.betti,)) from None
-        if betti < 0:
-            raise ValueError("betti must be nonnegative, got %r" % (betti,))
-        object.__setattr__(self, "betti", betti)
-        ts = DivisorChain(tuple(self.torsion)).divisors
-        if any(t <= 1 for t in ts):
-            raise ValueError("torsion divisors must be > 1")
-        object.__setattr__(self, "torsion", ts)
+    def torsion(self) -> tuple:
+        return tuple(d for d in self.divisors if d > 1)
 
     @property
     def torsion_order(self) -> int:
@@ -148,17 +129,12 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
     return _unchecked(DivisorChain, divisors=tuple(nz) + (0,) * zeros)
 
 
-def _descriptor_from_chain(chain: DivisorChain, extra_betti: int = 0) -> HomologyDescriptor:
-    return _unchecked(HomologyDescriptor,
-                      betti=extra_betti + chain.zero_count,
-                      torsion=tuple(d for d in chain.divisors if d > 1))
-
-
-def mapping_torus_homology(m: IntMatrix) -> HomologyDescriptor:
-    """First homology of the mapping torus with monodromy action m:
-    coker(m - I) plus one free factor from the circle direction."""
+def mapping_torus_homology(m: IntMatrix) -> DivisorChain:
+    """First homology of the mapping torus with monodromy action m: the
+    chain of diag(m - I, 0), coker(m - I) plus one free factor from the
+    circle direction."""
     chain = smith_normal_form(m - identity(m.dim))
-    return _descriptor_from_chain(chain, extra_betti=1)
+    return _unchecked(DivisorChain, divisors=chain.divisors + (0,))
 
 
 @dataclass(frozen=True)
@@ -206,7 +182,7 @@ def fp_rank(m: IntMatrix, p: int) -> int:
     return 1 + _fp_nullity(m - identity(m.dim), p)
 
 
-def heegaard_homology(m: IntMatrix) -> HomologyDescriptor:
+def heegaard_homology(m: IntMatrix) -> DivisorChain:
     """First homology of the Heegaard splitting glued by a symplectic m
     of dimension 2g.
 
@@ -219,12 +195,12 @@ def heegaard_homology(m: IntMatrix) -> HomologyDescriptor:
         raise DimensionError("need a 2g x 2g matrix, got dimension %d"
                              % m.dim)
     b = _unchecked(IntMatrix, rows=tuple(row[g:] for row in m.rows[:g]))
-    return _descriptor_from_chain(smith_normal_form(b))
+    return smith_normal_form(b)
 
 
-def complexity_lower_bound(h: HomologyDescriptor) -> float:
+def complexity_lower_bound(h: DivisorChain) -> float:
     """Triangulation-complexity lower bound: log base 5 of the torsion
-    order (0 for trivial torsion)."""
+    order of the group ``h`` (0 for trivial torsion)."""
     t = h.torsion_order
     if t <= 1:
         return 0.0

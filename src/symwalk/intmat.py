@@ -65,10 +65,6 @@ class IntMatrix:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def __neg__(self) -> "IntMatrix":
-        return _unchecked(IntMatrix, rows=tuple(
-            tuple(-a for a in row) for row in self.rows))
-
     def transpose(self) -> "IntMatrix":
         return _unchecked(IntMatrix, rows=tuple(zip(*self.rows)))
 

@@ -25,6 +25,8 @@ def sl2_block(r: int, s: int) -> IntMatrix:
 def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
     """A symplectic matrix whose M - I has the given elementary divisors."""
     ds = chain.divisors
+    if not ds:
+        raise ValueError("chain must be nonempty")
     if len(ds) % 2 != 0:
         raise ValueError("chain length must be even")
     if any(d == 0 for d in ds):
@@ -44,7 +46,7 @@ def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
 
 def verify_prescription(m: IntMatrix, chain: DivisorChain) -> bool:
     """True iff m is symplectic and SNF(m - I) equals the chain."""
-    if m.dim != chain.rank or not is_symplectic(m):
+    if m.dim != len(chain.divisors) or not is_symplectic(m):
         return False
     snf = smith_normal_form(m - identity(m.dim))
     return snf.divisors == chain.divisors

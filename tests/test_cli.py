@@ -284,6 +284,14 @@ def test_prescribe_rejects_bad_chain(tmp_path, capsys):
     assert code == 2
     code, _ = _run(capsys, ["prescribe", "--out", str(tmp_path)])
     assert code == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"chain": []}))
+    out = tmp_path / "out"
+    code = main(["prescribe", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: chain must be nonempty\n"
+    assert not out.exists()
 
 
 def test_punctured_outputs(tmp_path, capsys):
@@ -447,6 +455,16 @@ def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
      "lengths must be (start, end, step), got (1, 2)"),
     ("heegaard", {"lengths": [1, 2, 3, 4]},
      "lengths must be (start, end, step), got (1, 2, 3, 4)"),
+    ("snf", {"matrix_file": None}, "matrix_file must be a string, got None"),
+    ("snf", {"matrix_file": ["m.txt"]},
+     "matrix_file must be a string, got ['m.txt']"),
+    ("snf", {"matrix_file": 3.5}, "matrix_file must be a string, got 3.5"),
+    ("snf", {"matrix_file": True}, "matrix_file must be a string, got True"),
+    ("snf", {"matrix_file": 0}, "matrix_file must be a string, got 0"),
+    ("torsion-stats", {"family": 1}, "family must be a string, got 1"),
+    ("lyapunov", {"family": None}, "family must be a string, got None"),
+    ("heegaard", {"mode": ["positive"]},
+     "mode must be a string, got ['positive']"),
 ])
 def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
                                          bad):
@@ -459,6 +477,22 @@ def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
     assert err.startswith("config error:")
     assert bad in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, where", [
+    ("torsion-stats", "symwalk.walker.make_family"),
+    ("lyapunov", "symwalk.cli.make_family"),
+])
+def test_a_type_error_while_reading_the_family_is_internal(
+        tmp_path, capsys, monkeypatch, command, where):
+    # every key has a default and a checked type, so a TypeError here is
+    # a bug, not a config error
+    def broken(name, param):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(where, broken)
+    assert main([command, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: boom\n"
 
 
 def test_config_defaults_are_flag_keys():

@@ -1,5 +1,6 @@
 import pytest
 
+import symwalk.generators as generators
 from symwalk.generators import (GeneratorFamily, birman_u, birman_y, hru2,
                                 hru5, hua_reiner, humphries_symplectic,
                                 make_family, stanek, stanek_dd, stanek_tk,
@@ -16,6 +17,70 @@ def test_birman_u_2_1():
 def test_birman_y_2_1():
     expected = [[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert birman_y(2, 1).to_lists() == expected
+
+
+# every named generator at g = n = 2 and 3, rows separated by ";"
+LITERALS = {
+    ("birman_y", 2, 1): "1 0 -1 0; 0 1 0 0; 0 0 1 0; 0 0 0 1",
+    ("birman_y", 2, 2): "1 0 0 0; 0 1 0 -1; 0 0 1 0; 0 0 0 1",
+    ("birman_u", 2, 1): "1 0 0 0; 0 1 0 0; 1 0 1 0; 0 0 0 1",
+    ("birman_u", 2, 2): "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 1 0 1",
+    ("birman_z", 2, 1): "1 0 -1 1; 0 1 1 -1; 0 0 1 0; 0 0 0 1",
+    ("birman_y", 3, 1):
+        "1 0 0 -1 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_y", 3, 2):
+        "1 0 0 0 0 0; 0 1 0 0 -1 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_y", 3, 3):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 -1; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_u", 3, 1):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "1 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_u", 3, 2):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 1 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_u", 3, 3):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 1 0 0 1",
+    ("birman_z", 3, 1):
+        "1 0 0 -1 1 0; 0 1 0 1 -1 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("birman_z", 3, 2):
+        "1 0 0 0 0 0; 0 1 0 0 -1 1; 0 0 1 0 1 -1; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("hru2", 2): "1 1; 0 1",
+    ("hru5", 2): "0 -1; 1 0",
+    ("hru2", 3): "1 1 0; 0 1 0; 0 0 1",
+    ("hru5", 3): "0 0 1; 1 0 0; 0 1 0",
+    ("stanek_r21", 2): "1 0 0 0; 1 1 0 0; 0 0 1 -1; 0 0 0 1",
+    ("stanek_tk", 2, 1): "1 0 0 0; 0 1 0 0; 1 0 1 0; 0 0 0 1",
+    ("stanek_tk", 2, 2): "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 1 0 1",
+    ("stanek_dd", 2): "0 1 0 0; 0 0 -1 0; 0 0 0 1; 1 0 0 0",
+    ("stanek_r21", 3):
+        "1 0 0 0 0 0; 1 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 -1 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("stanek_tk", 3, 1):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "1 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1",
+    ("stanek_tk", 3, 2):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 1 0 0 1 0; 0 0 0 0 0 1",
+    ("stanek_tk", 3, 3):
+        "1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; "
+        "0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 1 0 0 1",
+    ("stanek_dd", 3):
+        "0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 -1 0 0; "
+        "0 0 0 0 1 0; 0 0 0 0 0 1; 1 0 0 0 0 0",
+}
+
+
+def test_named_generators_equal_their_literal_matrices():
+    for (name, *args), text in LITERALS.items():
+        expected = IntMatrix(tuple(tuple(int(x) for x in row.split())
+                                   for row in text.split(";")))
+        assert getattr(generators, name)(*args) == expected, (name, args)
 
 
 def test_humphries_cardinality_g2():
@@ -102,7 +167,7 @@ def test_symmetric_closure_transvection():
 def test_symmetric_closure_hua_reiner():
     closed = symmetric_closure(hua_reiner(2))
     assert len(closed) == 4
-    assert -hru5(2) in closed.matrices
+    assert IntMatrix(((0, 1), (-1, 0))) in closed.matrices
 
 
 def test_det_preserved_over_long_walk():

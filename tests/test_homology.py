@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import symwalk.homology as homology
 from oracles import (euclid_snf, has_python_int_rows, minor_gcd_divisors,
                      naive_snf, random_int_matrix, symplectic_form)
-from symwalk.homology import (DivisorChain, HomologyDescriptor, TorsionOrder,
+from symwalk.homology import (DivisorChain, TorsionOrder,
                               complexity_lower_bound, fp_rank,
                               heegaard_homology, mapping_torus_homology,
                               smith_normal_form, torsion_order)
@@ -35,25 +35,21 @@ def test_divisor_chain_rejects_non_integers(divisors):
         DivisorChain(divisors)
 
 
-@pytest.mark.parametrize("betti, torsion, message", [
-    (0, (1,), "must be > 1"),
-    (0, (2, 0), "must be > 1"),
-    (0, (2, 5), "divisibility chain violated"),
-    (0, (2.5,), "must be integers"),
-    (0, (6.9, 12), "must be integers"),
-    (-1, (), "betti must be nonnegative"),
-    (1.0, (), "betti must be an integer"),
-])
-def test_homology_descriptor_rejects(betti, torsion, message):
-    with pytest.raises(ValueError, match=message):
-        HomologyDescriptor(betti, torsion)
+def test_divisor_chain_betti_and_torsion():
+    chain = DivisorChain((1, 1, 2, 6, 0, 0))
+    assert (chain.betti, chain.torsion, chain.torsion_order) == (2, (2, 6), 12)
+    chain = DivisorChain(())
+    assert (chain.betti, chain.torsion, chain.torsion_order) == (0, (), 1)
 
 
-def test_homology_descriptor_stores_python_ints():
-    h = HomologyDescriptor(np.int64(1), (np.int64(2), np.int64(6)))
-    assert (h.betti, h.torsion) == (1, (2, 6))
-    assert type(h.betti) is int
-    assert all(type(t) is int for t in h.torsion)
+def test_divisor_chain_stores_python_ints():
+    chain = DivisorChain((np.int64(1), np.int64(2), np.int64(6),
+                          np.int64(0)))
+    assert chain.divisors == (1, 2, 6, 0)
+    assert all(type(d) is int for d in chain.divisors)
+    assert (chain.betti, chain.torsion) == (1, (2, 6))
+    assert all(type(t) is int for t in chain.torsion)
+    assert type(chain.torsion_order) is int
 
 
 def test_snf_examples():
@@ -69,6 +65,15 @@ def test_mapping_torus_examples():
     assert (h.betti, h.torsion) == (1, ())
     h = mapping_torus_homology(SNF_BLOCK_R2_S3)
     assert (h.betti, h.torsion) == (1, (2, 6))
+
+
+def test_mapping_torus_homology_is_the_chain_of_m_minus_i_and_a_zero():
+    rng = random.Random(5)
+    mats = [random_int_matrix(rng, n, 3) for n in (1, 2, 3, 4)]
+    mats += [identity(3), SNF_BLOCK_R2_S3]
+    for m in mats:
+        assert mapping_torus_homology(m).divisors == \
+            smith_normal_form(m - identity(m.dim)).divisors + (0,)
 
 
 def test_torsion_order_examples():
@@ -96,9 +101,9 @@ def test_heegaard_examples():
 
 
 def test_complexity_lower_bound():
-    assert complexity_lower_bound(HomologyDescriptor(1, ())) == 0.0
-    assert complexity_lower_bound(HomologyDescriptor(0, (5,))) == pytest.approx(1.0)
-    bound = complexity_lower_bound(HomologyDescriptor(0, (2, 6)))
+    assert complexity_lower_bound(DivisorChain((1, 0))) == 0.0
+    assert complexity_lower_bound(DivisorChain((5,))) == pytest.approx(1.0)
+    bound = complexity_lower_bound(DivisorChain((1, 2, 6)))
     assert bound == pytest.approx(math.log(12) / math.log(5), abs=1e-12)
     assert bound == pytest.approx(1.5440, abs=5e-4)
 
@@ -168,7 +173,7 @@ def test_snf_matches_the_euclidean_reference():
         assert chain == euclid_snf(m), m
         assert all(type(d) is int for d in chain.divisors), m
         nonzero = [d for d in chain.divisors if d]
-        seen.add((chain.zero_count == m.dim, chain.zero_count > 0,
+        seen.add((chain.betti == m.dim, chain.betti > 0,
                   any(d > 1 for d in nonzero[:-1])))
     # zero, singular, and nonsingular with and without a repeated factor
     assert {(True, True, False), (False, True, True), (False, True, False),

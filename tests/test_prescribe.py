@@ -68,6 +68,8 @@ def test_prescribe_input_validation():
         prescribe_symplectic(DivisorChain((2, 4, 8)))      # odd length
     with pytest.raises(ValueError):
         prescribe_symplectic(DivisorChain((1, 2, 0, 0)))   # zero entries
+    with pytest.raises(ValueError, match="chain must be nonempty"):
+        prescribe_symplectic(DivisorChain(()))
 
 
 def test_verify_rejects_wrong_chain_or_matrix():

@@ -52,6 +52,22 @@ class DivisorChain:
                                      % (prev, d))
                 prev = d
 
+    @classmethod
+    def of_group(cls, betti, torsion) -> DivisorChain:
+        """The chain of Z^betti + Z/t1 + ... + Z/tk, for torsion factors
+        t1 | ... | tk, each > 1."""
+        chain = cls(tuple(torsion))
+        if any(t <= 1 for t in chain.divisors):
+            raise ValueError("torsion factors must be > 1")
+        try:
+            betti = operator.index(betti)
+        except TypeError:
+            raise ValueError("betti must be an integer, got %r"
+                             % (betti,)) from None
+        if betti < 0:
+            raise ValueError("betti must be nonnegative")
+        return _unchecked(cls, divisors=chain.divisors + (0,) * betti)
+
     @property
     def betti(self) -> int:
         return self.divisors.count(0)

@@ -294,7 +294,10 @@ def cmd_punctured(cfg):
 def read_matrix_file(path: str) -> IntMatrix:
     """First line: dimension; then rows of whitespace-separated integers."""
     with open(path) as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("matrix file %s is not text: %s" % (path, exc))
     if not tokens:
         raise ConfigError("empty matrix file")
     try:

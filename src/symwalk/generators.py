@@ -50,6 +50,9 @@ def _matrix(n: int, entries: dict, diagonal: int = 1) -> IntMatrix:
     ``diagonal`` elsewhere on the diagonal and 0 elsewhere off it."""
     rows = [[diagonal if r == c else 0 for c in range(n)] for r in range(n)]
     for (i, j), value in entries.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError("entry (%d, %d) is outside the %d x %d matrix"
+                             % (i, j, n, n))
         rows[i - 1][j - 1] = value
     return IntMatrix(tuple(map(tuple, rows)))
 

@@ -41,20 +41,15 @@ class LyapunovEstimate:
         return sum(e for e in self.exponents if e > 0)
 
 
-def _qr_positive(frames):
-    """QR of each matrix in a stack, signs chosen so diag(R) >= 0: the
-    orthonormal frames and the per-direction stretches |diag(R)|."""
-    q, r = np.linalg.qr(frames)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.where(d >= 0, 1.0, -1.0)[..., None, :], np.abs(d)
-
-
 def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                        seed: int) -> LyapunovEstimate:
     """Mean per-step log stretches of an evolved orthonormal frame.
 
     The trials evolve together as one (trials, dim, dim) stack; each step
-    applies one letter per trial, drawn from that trial's seeded stream."""
+    applies one letter per trial, drawn from that trial's seeded stream.
+    The frames are re-orthonormalized by QR, signs chosen so diag(R) >= 0,
+    after each of ``BURN_IN`` unlogged steps, then every ``RENORM_EVERY``
+    steps and after the last; the logged stretches are |diag(R)|."""
     if steps < 100 or trials < 1:
         raise ValueError("lyapunov needs steps >= 100 and trials >= 1, "
                          "got steps %d and trials %d" % (steps, trials))
@@ -64,23 +59,22 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
     rows = np.empty((trials, BURN_IN + steps), np.min_scalar_type(k - 1))
     for t, s in enumerate(seeds):
         rows[t] = letters(s, k, BURN_IN + steps)
-    columns = iter(rows.T)                  # one letter per trial per step
-
-    def apply_letters(frames):
-        return gens[next(columns)] @ frames
-
     frames = np.tile(np.eye(dim), (trials, 1, 1))
-    for _ in range(BURN_IN):
-        frames, _ = _qr_positive(apply_letters(frames))
     logs = np.zeros((trials, dim))
     collapsed = np.zeros(trials, dtype=bool)
     with np.errstate(divide="ignore"):      # a collapsed frame logs -inf
-        for done in range(0, steps, RENORM_EVERY):
-            for _ in range(min(RENORM_EVERY, steps - done)):
-                frames = apply_letters(frames)
-            frames, stretch = _qr_positive(frames)
-            collapsed |= (stretch < _COLLAPSE).any(axis=1)
-            logs += np.log(stretch)
+        # one letter per trial per step; steps up to 0 burn in
+        for step, column in enumerate(rows.T, 1 - BURN_IN):
+            frames = gens[column] @ frames
+            if step % RENORM_EVERY and 0 < step < steps:
+                continue
+            q, r = np.linalg.qr(frames)
+            d = np.diagonal(r, axis1=-2, axis2=-1)
+            frames = q * np.where(d >= 0, 1.0, -1.0)[..., None, :]
+            if step > 0:
+                stretch = np.abs(d)
+                collapsed |= (stretch < _COLLAPSE).any(axis=1)
+                logs += np.log(stretch)
     per_trial = logs / steps
     failed = collapsed | ~np.isfinite(per_trial).all(axis=1)
     if failed.any():

@@ -136,34 +136,6 @@ def clt_diagnostics(samples) -> CltDiagnostics:
 GROUP_ORDER_BOUND = 10 ** 4
 
 
-def _closure_mod_p(gens, p: int):
-    """Close generators (rows of integers) mod p by breadth-first search.
-
-    Returns the elements of the group G they generate, as one
-    ``(|G|, n, n)`` array with the identity first, and per generator g the
-    index array sending (the index of) x to x·g; None once |G| exceeds
-    ``GROUP_ORDER_BOUND``.
-    """
-    n = len(gens[0])
-    if n * (p - 1) ** 2 < 2 ** 63:      # every entry of a product fits
-        dtype, key = np.int64, np.ndarray.tobytes
-    else:                               # Python integers, keyed by value
-        dtype, key = object, lambda a: tuple(a.ravel().tolist())
-    gens = [np.array(g, dtype=dtype) % p for g in gens]
-    group = [np.eye(n, dtype=np.int64).astype(dtype)]
-    index = {key(group[0]): 0}
-    moves = [[] for _ in gens]
-    for x in group:                     # group grows as it is visited
-        for g, move in zip(gens, moves):
-            y = x @ g % p
-            move.append(index.setdefault(key(y), len(group)))
-            if move[-1] == len(group):
-                group.append(y)
-        if len(group) > GROUP_ORDER_BOUND:
-            return None
-    return np.array(group), np.array(moves)
-
-
 @dataclass(frozen=True)
 class WalkClosure:
     """A family's walk mod p on the closure G of its letters, with the
@@ -217,16 +189,28 @@ class WalkClosure:
 
 
 def walk_closure(family, p: int):
-    """The ``WalkClosure`` of ``family`` mod the prime p, or None when |G|
-    exceeds ``GROUP_ORDER_BOUND``; ``mod_p`` refuses a p that is not
-    prime."""
+    """The ``WalkClosure`` of ``family`` mod the prime p, G closed by
+    breadth-first search, or None once |G| exceeds ``GROUP_ORDER_BOUND``;
+    ``mod_p`` refuses a p that is not prime."""
     reduced = [mod_p(m, p).rows for m in family.matrices]
-    distinct = list(dict.fromkeys(reduced))
-    closure = _closure_mod_p(distinct, p)
-    if closure is None:
-        return None
-    group, moves = closure
-    table = {g: tuple(move.tolist()) for g, move in zip(distinct, moves)}
+    n = len(reduced[0])
+    if n * (p - 1) ** 2 < 2 ** 63:      # every entry of a product fits
+        dtype, key = np.int64, np.ndarray.tobytes
+    else:                               # Python integers, keyed by value
+        dtype, key = object, lambda a: tuple(a.ravel().tolist())
+    moves = {g: [] for g in reduced}    # one table per distinct generator
+    gens = [(np.array(g, dtype=dtype), move) for g, move in moves.items()]
+    group = [np.eye(n, dtype=np.int64).astype(dtype)]
+    index = {key(group[0]): 0}
+    for x in group:                     # group grows as it is visited
+        for g, move in gens:
+            y = x @ g % p
+            move.append(index.setdefault(key(y), len(group)))
+            if move[-1] == len(group):
+                group.append(y)
+        if len(group) > GROUP_ORDER_BOUND:
+            return None
+    tables = {g: tuple(move) for g, move in moves.items()}
     rows = (tuple(map(tuple, x.tolist())) for x in group)   # Python ints
     ranks = tuple(fp_rank(_unchecked(IntMatrix, rows=r), p) for r in rows)
-    return WalkClosure(tuple(table[g] for g in reduced), ranks)
+    return WalkClosure(tuple(tables[g] for g in reduced), ranks)

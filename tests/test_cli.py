@@ -322,6 +322,18 @@ def test_snf_missing_file_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_snf_matrix_file_that_is_not_text_is_a_config_error(tmp_path,
+                                                            capsys):
+    mat = tmp_path / "m.txt"
+    mat.write_bytes(b"\xff")
+    out = tmp_path / "out"
+    code = main(["snf", str(mat), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: matrix file %s is not text: " % mat)
+    assert not out.exists()
+
+
 def test_read_matrix_file_validation(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("2\n1 2 3\n")

@@ -101,6 +101,22 @@ def test_humphries_rejects_g1():
         humphries_symplectic(1)
 
 
+@pytest.mark.parametrize("make, args, entry, n", [
+    ("stanek_r21", (1,), (2, 3), 2),
+    ("birman_z", (2, 2), (2, 5), 4),
+    ("birman_y", (2, 3), (3, 5), 4),
+    ("birman_u", (2, 0), (2, 0), 4),        # index 0 would wrap to row n
+    ("stanek_tk", (2, 0), (2, 0), 4),
+    ("birman_y", (2, -1), (-1, 1), 4),
+])
+def test_generator_entries_outside_the_matrix_are_rejected(make, args,
+                                                           entry, n):
+    with pytest.raises(ValueError) as exc:
+        getattr(generators, make)(*args)
+    assert str(exc.value) == "entry %s is outside the %d x %d matrix" % (
+        entry, n, n)
+
+
 def test_hru5_examples():
     assert hru5(2) == IntMatrix(((0, -1), (1, 0)))
     assert hru5(3) == IntMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))

@@ -44,6 +44,8 @@ def test_overflowing_family_fails_loudly():
     ("stanek", 2, 300, 5, 3),
     ("hua-reiner", 3, 333, 7, 4),      # odd dimension, steps % 10 != 0
     ("humphries", 2, 500, 1, 5),
+    ("humphries", 2, 100, 3, 6),       # the minimum, as long as the burn-in
+    ("stanek", 2, 101, 3, 7),          # a last block of one letter
 ])
 def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
                                                    trials, seed):

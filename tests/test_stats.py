@@ -11,9 +11,9 @@ from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 symmetric_closure)
 from symwalk.homology import fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
-from symwalk.stats import (_closure_mod_p, clt_diagnostics,
-                           empirical_rank_table, linear_fit, summarize,
-                           total_variation, walk_closure)
+from symwalk.stats import (clt_diagnostics, empirical_rank_table,
+                           linear_fit, summarize, total_variation,
+                           walk_closure)
 from symwalk.walker import derive_seed, sample_word
 
 
@@ -167,10 +167,8 @@ def test_walk_rank_law_keeps_the_parity_coset():
 
 def test_walk_rank_law_bound_is_on_the_group_order():
     # SL(3, F_3) (5616 elements) is closed, SL(4, F_2) (20160) is not
-    sl3 = [m.to_lists() for m in hua_reiner(3).matrices]
-    sl4 = [m.to_lists() for m in hua_reiner(4).matrices]
-    assert len(_closure_mod_p(sl3, 3)[0]) == 5616
-    assert _closure_mod_p(sl4, 2) is None
+    assert len(walk_closure(hua_reiner(3), 3).ranks) == 5616
+    assert walk_closure(hua_reiner(4), 2) is None
 
 
 def test_walk_closure_shares_tables_between_letters_alike_mod_p():

@@ -81,7 +81,7 @@ def threads_from_env() -> int:
 
 def _torsion_record(word):
     t = torsion_order(word.product)
-    return (math.log(t.value) if t.value > 1 else 0.0, t.betti, t.singular)
+    return (math.log(t.value), t.betti, t.singular)
 
 
 class _ModpRecord:
@@ -100,8 +100,7 @@ class _ModpRecord:
 
 def _heegaard_record(word):
     h = heegaard_homology(word.product)
-    t = h.torsion_order
-    return (math.log(t) if t > 1 else 0.0, h.betti, complexity_lower_bound(h))
+    return (math.log(h.torsion_order), h.betti, complexity_lower_bound(h))
 
 
 # --- column schemas: (name, CSV format) per column --------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, det, inverse, mat_mul
+from .intmat import IntMatrix, det, inverse
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class GeneratorFamily:
         if not self.matrices:
             raise ValueError("a generator family must be nonempty")
         dim = self.matrices[0].dim
+        if not dim:
+            raise ValueError("generators must have dimension >= 1, got 0")
         for m in self.matrices:
             if m.dim != dim:
                 raise ValueError("all generators must share one dimension")
@@ -122,7 +124,8 @@ def stanek(n: int) -> GeneratorFamily:
     if n in (2, 3):
         mats = (stanek_r21(n), stanek_tk(n, 1), stanek_dd(n))
     else:
-        mats = (mat_mul(stanek_r21(n), stanek_tk(n, 1)), stanek_dd(n))
+        mats = (_matrix(2 * n, {(2, 1): 1, (n + 1, 1): 1, (n + 1, n + 2): -1}),
+                stanek_dd(n))
     return GeneratorFamily(mats)
 
 

@@ -173,21 +173,23 @@ def torsion_order(m: IntMatrix) -> TorsionOrder:
 
 
 def _fp_nullity(m: IntMatrix, p: int) -> int:
-    """Dimension of ker(m) over F_p via Gaussian elimination."""
+    """Dimension of ker(m) over F_p by forward elimination: a row below
+    the pivot becomes (row * pivot - f * top) mod p, a nonzero multiple of
+    itself plus one of the pivot row, so the rank holds without division."""
     a = mod_p(m, p).to_lists()
     n = m.dim
     rank = 0
     for col in range(n):
-        piv = next((i for i in range(rank, n) if a[i][col] % p != 0), None)
+        piv = next((i for i in range(rank, n) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        pivot = top[col]
+        for i in range(rank + 1, n):
+            f = a[i][col]
+            if f:
+                a[i] = [(x * pivot - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
     return n - rank
 
@@ -217,7 +219,4 @@ def heegaard_homology(m: IntMatrix) -> DivisorChain:
 def complexity_lower_bound(h: DivisorChain) -> float:
     """Triangulation-complexity lower bound: log base 5 of the torsion
     order of the group ``h`` (0 for trivial torsion)."""
-    t = h.torsion_order
-    if t <= 1:
-        return 0.0
-    return math.log(t) / math.log(5)
+    return math.log(h.torsion_order) / math.log(5)

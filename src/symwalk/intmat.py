@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -88,62 +87,57 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for row in a.rows))
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    All intermediate divisions are exact, so the computation stays in the
-    integers while keeping entry growth polynomial.
-    """
-    n = m.dim
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+def _eliminate(a: list) -> int:
+    """Bareiss fraction-free elimination, in place, on n integer rows
+    ``a`` of width >= n; returns the determinant of their leading block
+    and leaves it upper triangular (what lies below its diagonal is stale,
+    and never read).  Each step row <- (row * pivot - f * top) // prev
+    divides exactly, as every entry is then a minor of the input, so the
+    entries stay integers of polynomial size."""
+    n = len(a)
+    sign = prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(top)):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    return _eliminate(m.to_lists())
 
 
 def inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix invertible over the integers.
 
-    Requires det(m) in {1, -1}; computed via rational Gauss-Jordan and
-    checked to be integral.
+    Requires det(m) in {1, -1}.  Elimination takes ``[m | I]`` to
+    ``[U | B]`` with U upper triangular and m^-1 = U^-1 B; the rows of
+    m^-1 are then solved for from the last up.  Each division there is
+    exact: its dividend is U[i][i] times row i of m^-1, which is integral.
     """
-    d = det(m)
+    n = m.dim
+    a = [list(row + e) for row, e in zip(m.rows, identity(n).rows)]
+    d = _eliminate(a)
     if d not in (1, -1):
         raise ValueError("matrix is not invertible over Z (det = %d)" % d)
-    n = m.dim
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return _unchecked(IntMatrix, rows=tuple(
-        tuple(int(x) for x in row) for row in inv))
+    for i in reversed(range(n)):    # a[j] for j > i is row j of m^-1
+        u = a[i]
+        x = u[n:]
+        for j in range(i + 1, n):
+            x = [s - u[j] * t for s, t in zip(x, a[j])]
+        a[i] = [s // u[i] for s in x]
+    return _unchecked(IntMatrix, rows=tuple(map(tuple, a)))
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly

@@ -3,9 +3,9 @@ import pytest
 import symwalk.generators as generators
 from symwalk.generators import (GeneratorFamily, birman_u, birman_y, hru2,
                                 hru5, hua_reiner, humphries_symplectic,
-                                make_family, stanek, stanek_dd, stanek_tk,
-                                symmetric_closure)
-from symwalk.intmat import IntMatrix, det, identity, is_symplectic
+                                make_family, stanek, stanek_dd, stanek_r21,
+                                stanek_tk, symmetric_closure)
+from symwalk.intmat import IntMatrix, det, identity, is_symplectic, mat_mul
 from symwalk.walker import sample_word
 
 
@@ -154,6 +154,12 @@ def test_stanek_cardinalities():
         stanek(0)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_stanek_first_generator_is_r21_times_t1(n):
+    # from n = 4 on the family merges stanek_r21(n) and stanek_tk(n, 1)
+    assert stanek(n).matrices[0] == mat_mul(stanek_r21(n), stanek_tk(n, 1))
+
+
 def test_stanek_preserves_the_standard_form():
     # the original listing does not state which form the Stanek generators
     # preserve; it is the standard J
@@ -195,6 +201,11 @@ def test_det_preserved_over_long_walk():
 def test_family_rejects_det_not_one():
     with pytest.raises(ValueError):
         GeneratorFamily((IntMatrix(((2, 0), (0, 1))),))
+
+
+def test_family_rejects_dimension_zero():
+    with pytest.raises(ValueError, match="dimension >= 1, got 0"):
+        GeneratorFamily((IntMatrix(()),))
 
 
 def test_family_rejects_mixed_dims():

@@ -238,6 +238,36 @@ def test_fp_rank_iff_p_divides_det():
     assert checked > 30
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2 ** 61 - 1])
+def test_fp_rank_counts_smith_divisors_divisible_by_p(p):
+    # dim ker(A mod p) is the number of Smith divisors of A that p divides,
+    # zeros included; A = m - I gets k >= 0 rows that repeat integer
+    # combinations of the others, and sometimes a base row times p
+    rng = random.Random(p)
+    nullities = set()
+    for k in range(4):
+        for _ in range(20):
+            n = rng.randint(max(k, 1), 6)
+            base = [[rng.randint(-5, 5) for _ in range(n)]
+                    for _ in range(n - k)]
+            if base and rng.random() < 0.3:
+                base[0] = [p * x for x in base[0]]
+            rows = base + [[0] * n for _ in range(k)]
+            for row in rows[n - k:]:
+                for b in base:
+                    c = rng.randint(-2, 2)
+                    row[:] = [x + c * y for x, y in zip(row, b)]
+            rng.shuffle(rows)
+            a = IntMatrix(rows)
+            ds = euclid_snf(a).divisors
+            assert ds.count(0) >= k
+            nullities.add(ds.count(0))
+            m = IntMatrix([[x + (i == j) for j, x in enumerate(row)]
+                           for i, row in enumerate(rows)])
+            assert fp_rank(m, p) == 1 + sum(d % p == 0 for d in ds)
+    assert nullities >= {0, 1, 2, 3}
+
+
 def test_betti_matches_rational_kernel():
     # betti = 1 + dim_Q ker(M - I) = 1 + (zero divisors of SNF); check
     # against an independent rational-rank computation

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (det_cofactor, has_python_int_rows, random_int_matrix,
                      symplectic_form)
+from symwalk.generators import (birman_u, birman_y, birman_z, hru2, hru5,
+                                stanek, stanek_dd, stanek_r21, stanek_tk)
 from symwalk.intmat import (MR_EXACT_BELOW, DimensionError, IntMatrix,
                             NotPrimeError, det, identity, inverse, is_prime,
                             is_symplectic, mat_mul, mod_p)
@@ -152,12 +154,35 @@ def test_symplectic_closed_under_product():
         assert is_symplectic(mat_mul(a, b))
 
 
+def _named_generators(top=6):
+    """Every named generator with g, n <= top, and the merged first Stanek
+    generator of n >= 4."""
+    for k in range(2, top + 1):
+        yield from (hru2(k), hru5(k), stanek_r21(k), stanek_dd(k))
+        yield from (f(k, i) for f in (birman_y, birman_u, stanek_tk)
+                    for i in range(1, k + 1))
+        yield from (birman_z(k, i) for i in range(1, k))
+        yield from stanek(k).matrices
+
+
 def test_inverse_exact():
     m = IntMatrix(((1, 1), (0, 1)))
     assert inverse(m) == IntMatrix(((1, -1), (0, 1)))
     assert mat_mul(m, inverse(m)) == identity(2)
-    with pytest.raises(ValueError):
-        inverse(IntMatrix(((2, 0), (0, 1))))
+    swap = IntMatrix(((0, 1), (1, 0)))                  # det -1
+    assert inverse(swap) == swap
+    cycle = IntMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))  # first pivot 0
+    assert inverse(cycle) == cycle.transpose()
+    assert inverse(IntMatrix(())) == IntMatrix(())
+    named = list(_named_generators())
+    assert len(named) == 107
+    for m in named:
+        assert mat_mul(m, inverse(m)) == identity(m.dim)
+    for m, d in ((IntMatrix(((2, 0), (0, 1))), 2),
+                 (IntMatrix(((1, 2), (2, 4))), 0)):
+        with pytest.raises(ValueError,
+                           match=r"not invertible over Z \(det = %d\)" % d):
+            inverse(m)
 
 
 def test_matrix_must_be_square():

@@ -172,12 +172,11 @@ def torsion_order(m: IntMatrix) -> TorsionOrder:
     return TorsionOrder(h.torsion_order, True, h.betti)
 
 
-def _fp_nullity(m: IntMatrix, p: int) -> int:
-    """Dimension of ker(m) over F_p by forward elimination: a row below
-    the pivot becomes (row * pivot - f * top) mod p, a nonzero multiple of
-    itself plus one of the pivot row, so the rank holds without division."""
-    a = mod_p(m, p).to_lists()
-    n = m.dim
+def _fp_nullity(a: list, p: int) -> int:
+    """Nullity over F_p of the square rows of residues ``a``, eliminated in
+    place without division: a row below the pivot becomes (row * pivot -
+    f * top) mod p, a unit times itself plus a multiple of the pivot row."""
+    n = len(a)
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, n) if a[i][col]), None)
@@ -197,7 +196,10 @@ def _fp_nullity(m: IntMatrix, p: int) -> int:
 def fp_rank(m: IntMatrix, p: int) -> int:
     """Rank of H1 of the mapping torus with F_p coefficients:
     1 + dim ker(m - I mod p)."""
-    return 1 + _fp_nullity(m - identity(m.dim), p)
+    a = mod_p(m, p).to_lists()
+    for i, row in enumerate(a):
+        row[i] = (row[i] - 1) % p
+    return 1 + _fp_nullity(a, p)
 
 
 def heegaard_homology(m: IntMatrix) -> DivisorChain:

@@ -38,7 +38,7 @@ class LyapunovEstimate:
 
     @property
     def positive_sum(self) -> float:
-        return sum(e for e in self.exponents if e > 0)
+        return math.fsum(e for e in self.exponents if e > 0)
 
 
 def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,

@@ -12,7 +12,8 @@ where its product lands in the closure G of the letters mod p.  One
 ``walk_closure`` per (family, p) serves both sides: its ``rank_law`` is
 the predicted law, and its ``rank`` walks a sample on G, one table lookup
 per letter, instead of building the exact product.  It reduces the
-letters through ``mod_p``, the package's one check that p is prime.
+letters through ``mod_p``, the package's one check that p is prime, and
+closes G through the ``walker`` kernels, one call per pass and generator.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .homology import fp_rank
-from .intmat import IntMatrix, _unchecked, mod_p
+from .homology import _fp_nullity
+from .intmat import mod_p
+from .walker import _kernels
 
 
 @dataclass(frozen=True)
@@ -191,26 +193,30 @@ class WalkClosure:
 def walk_closure(family, p: int):
     """The ``WalkClosure`` of ``family`` mod the prime p, G closed by
     breadth-first search, or None once |G| exceeds ``GROUP_ORDER_BOUND``;
-    ``mod_p`` refuses a p that is not prime."""
+    ``mod_p`` refuses a p that is not prime.  An element is the tuple of
+    its residues, row by row."""
     reduced = [mod_p(m, p).rows for m in family.matrices]
-    n = len(reduced[0])
-    if n * (p - 1) ** 2 < 2 ** 63:      # every entry of a product fits
-        dtype, key = np.int64, np.ndarray.tobytes
-    else:                               # Python integers, keyed by value
-        dtype, key = object, lambda a: tuple(a.ravel().tolist())
-    moves = {g: [] for g in reduced}    # one table per distinct generator
-    gens = [(np.array(g, dtype=dtype), move) for g, move in moves.items()]
-    group = [np.eye(n, dtype=np.int64).astype(dtype)]
-    index = {key(group[0]): 0}
-    for x in group:                     # group grows as it is visited
-        for g, move in gens:
-            y = x @ g % p
-            move.append(index.setdefault(key(y), len(group)))
-            if move[-1] == len(group):
-                group.append(y)
-        if len(group) > GROUP_ORDER_BOUND:
-            return None
+    kernels = dict(zip(reduced, _kernels(family.matrices)[1]))
+    moves = {g: [] for g in kernels}    # one table per distinct generator
+    n = family.dim
+    group = [tuple(int(i == j) for i in range(n) for j in range(n))]
+    index, visited = {group[0]: 0}, 0
+    while visited < len(group):         # group grows as it is visited
+        level = np.array(group[visited:visited + GROUP_ORDER_BOUND + 1
+                               - len(group)], dtype=object).reshape(-1, n, n)
+        visited += len(level)
+        cols = list(level.transpose(2, 0, 1))   # kept columns stay reduced
+        images = [np.stack([y if y is x else y % p for x, y in
+                            zip(cols, kernel(*cols))], 2).reshape(-1, n * n)
+                  for kernel in kernels.values()]
+        for ys in zip(*(y.tolist() for y in images)):  # x·g: each x, g in turn
+            for y, move in zip(map(tuple, ys), moves.values()):
+                move.append(index.setdefault(y, len(group)))
+                if move[-1] == len(group):
+                    group.append(y)
+            if len(group) > GROUP_ORDER_BOUND:
+                return None
     tables = {g: tuple(move) for g, move in moves.items()}
-    rows = (tuple(map(tuple, x.tolist())) for x in group)   # Python ints
-    ranks = tuple(fp_rank(_unchecked(IntMatrix, rows=r), p) for r in rows)
+    rows = ((np.array(group, dtype=object) - group[0]) % p).reshape(-1, n, n)
+    ranks = tuple(1 + _fp_nullity(a, p) for a in rows.tolist())   # G - I
     return WalkClosure(tuple(tables[g] for g in reduced), ranks)

@@ -34,7 +34,9 @@ of any member, which adds at most ``grow = ceil(log2 N)`` bits (``_kernels``
 returns it with the kernels), so the product is unpacked and re-packed
 every ``_BLOCK`` letters with a width of the current entry size plus
 ``grow`` bits per letter of the next block: the width tracks the size the
-entries actually reach, not the ``N**L`` bound of a whole word.
+entries actually reach, not the ``N**L`` bound of a whole word.  The same
+kernels, called on arrays of residues, close the group of the letters mod
+p in ``stats.walk_closure``.
 
 A ``Word`` carries its exact product: ``Word.product`` is computed on
 first read and kept, so a record that needs only the letters

@@ -12,7 +12,7 @@ import numpy as np
 from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 symmetric_closure)
 from symwalk.homology import DivisorChain, fp_rank
-from symwalk.intmat import IntMatrix, det, mat_mul
+from symwalk.intmat import IntMatrix, det, identity, mat_mul, mod_p
 from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
                               FrameCollapseError, LyapunovEstimate)
 from symwalk.walker import Word, derive_seed, word_product
@@ -244,6 +244,28 @@ def rank_law_by_enumeration(family, p, length):
         counts[rank] = counts.get(rank, 0) + 1
     words = len(family) ** length
     return {rank: Fraction(c, words) for rank, c in sorted(counts.items())}
+
+
+def closure_one_element_at_a_time(family, p, bound):
+    """``(moves, ranks)`` of the walk mod p on the closure G of the
+    letters, numbered as ``stats.walk_closure`` numbers it, or None once
+    |G| exceeds ``bound``.  Breadth first, one element and one distinct
+    generator at a time: each product is ``mod_p(mat_mul(x, g), p)`` and
+    each rank ``fp_rank``."""
+    reduced = [mod_p(m, p) for m in family.matrices]
+    moves = {g: [] for g in reduced}
+    group = [identity(family.dim)]
+    index = {group[0]: 0}
+    for x in group:
+        for g, move in moves.items():
+            y = mod_p(mat_mul(x, g), p)
+            move.append(index.setdefault(y, len(group)))
+            if move[-1] == len(group):
+                group.append(y)
+        if len(group) > bound:
+            return None
+    return (tuple(tuple(moves[g]) for g in reduced),
+            tuple(fp_rank(x, p) for x in group))
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:

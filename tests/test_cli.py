@@ -105,8 +105,12 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
     ("hua-reiner", 3, "symmetric", 2, True),
     ("humphries", 2, "positive-only", 2, True),  # no inverse letters
     ("humphries", 2, "symmetric", 3, False),    # Sp(4, F_3): over the bound
+    ("stanek", 2, "symmetric", 2, True),        # signed permutations, -1
+    ("hua-reiner", 2, "symmetric", 7, True),    # SL(2, F_7), an odd p
+    ("hua-reiner", 3, "positive-only", 3, True),    # SL(3, F_3), 5616
 ], ids=["humphries2-sym-p2", "hua-reiner3-sym-p2", "humphries2-p2",
-        "humphries2-sym-p3"])
+        "humphries2-sym-p3", "stanek2-sym-p2", "hua-reiner2-sym-p7",
+        "hua-reiner3-p3"])
 def test_modp_record_ranks_equal_exact_ranks(family, param, mode, p, closed):
     walked = BatchConfig(family, param, (1, 1, 1), 1, 0, mode).resolve_family()
     record = _ModpRecord(walked, [p])

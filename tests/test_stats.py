@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 import symwalk.stats as stats
-from oracles import (aperiodic_sl2, aperiodic_sp4, has_python_int_rows,
-                     rank_law_by_enumeration)
+from oracles import (aperiodic_sl2, aperiodic_sp4,
+                     closure_one_element_at_a_time, rank_law_by_enumeration)
 from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
-from symwalk.homology import fp_rank
+from symwalk.homology import _fp_nullity, fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (clt_diagnostics, empirical_rank_table,
                            linear_fit, summarize, total_variation,
@@ -184,19 +184,45 @@ def test_walk_closure_shares_tables_between_letters_alike_mod_p():
         walk_closure(H2_SYMMETRIC, 4)
 
 
+# a quarter turn mod 2**61 - 1: its rank multiplies residues past 2**63
+QUARTER_TURN = GeneratorFamily((IntMatrix(((0, -1), (1, 0))),))
+# its conjugate by a shear: an order-4 element whose column action takes
+# 7 * (p - 1) > 2**63 on residues, so an int64 search would overflow
+SHEARED_QUARTER_TURN = GeneratorFamily((IntMatrix(((2, -5), (1, -2))),))
+
+
 @pytest.mark.parametrize("family, p", [
     (H2_SYMMETRIC, 2),
-    # a quarter turn mod 2**61 - 1: entries too large for int64 products
-    (GeneratorFamily((IntMatrix(((0, -1), (1, 0))),)), 2 ** 61 - 1),
+    (QUARTER_TURN, 2 ** 61 - 1),
 ], ids=["int64", "object"])
 def test_walk_closure_ranks_python_int_elements(monkeypatch, family, p):
     seen = []
 
-    def recording(m, q):
-        seen.append(m)
-        return fp_rank(m, q)
+    def recording(a, q):
+        seen.append([list(row) for row in a])
+        return _fp_nullity(a, q)
 
-    monkeypatch.setattr(stats, "fp_rank", recording)
+    monkeypatch.setattr(stats, "_fp_nullity", recording)
     closure = walk_closure(family, p)
     assert len(seen) == len(closure.ranks) == (720 if p == 2 else 4)
-    assert all(has_python_int_rows(m) for m in seen)
+    assert all(type(x) is int for a in seen for row in a for x in row)
+
+
+@pytest.mark.parametrize("family, p", [
+    (H2_SYMMETRIC, 2),
+    (humphries_symplectic(2), 2),
+    (symmetric_closure(stanek(2)), 2),
+    (hua_reiner(3), 3),                     # SL(3, F_3), 5616 elements
+    (SIGNED_PERMUTATIONS, 2 ** 61 - 1),
+    (QUARTER_TURN, 2 ** 61 - 1),
+    (SHEARED_QUARTER_TURN, 2 ** 61 - 1),
+    (hua_reiner(4), 2),                     # SL(4, F_2): over the bound
+], ids=["humphries2-sym-p2", "humphries2-p2", "stanek2-sym-p2",
+        "hua-reiner3-p3", "signed-permutations-p2^61-1",
+        "quarter-turn-p2^61-1", "sheared-quarter-turn-p2^61-1",
+        "hua-reiner4-p2"])
+def test_walk_closure_equals_one_element_at_a_time(family, p):
+    closure = walk_closure(family, p)
+    found = None if closure is None else (closure.moves, closure.ranks)
+    assert found == closure_one_element_at_a_time(
+        family, p, stats.GROUP_ORDER_BOUND)

@@ -5,7 +5,7 @@ punctured, snf.  Each experiment writes a CSV of per-sample records and
 a JSON manifest echoing the full configuration; re-running with a
 manifest's config reproduces both byte-for-byte, on any supported Python
 version: the timestamp is the only field that changes (lyapunov aside,
-whose floats depend on the LAPACK build).
+whose floats depend on the BLAS and SIMD kernels of the numpy build).
 
 Every subcommand is one entry of ``COMMANDS``: its handler, its config
 defaults, its flags and, for row-shaped output, its column schema.  The

@@ -41,39 +41,65 @@ class LyapunovEstimate:
         return math.fsum(e for e in self.exponents if e > 0)
 
 
+def _orthonormalize(basis: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the rows of each frame of a (trials, n, n)
+    stack, in place; returns the (trials, n) row norms, the stretches.
+
+    Row j is normalized, then projected out of every later row by one
+    stacked matmul.  In exact arithmetic this is the QR factorization of
+    each frame's transpose with diag(R) > 0: the rows become the columns
+    of Q and the norms are diag(R).  A row of norm 0 turns NaN, and so do
+    the rows after it."""
+    n = basis.shape[1]
+    stretch = np.empty(basis.shape[:2])
+    for j in range(n):
+        row = basis[:, j]
+        norm = np.sqrt(np.einsum("ti,ti->t", row, row))
+        stretch[:, j] = norm
+        row /= norm[:, None]
+        if j + 1 < n:
+            later = basis[:, j + 1:]
+            later -= (later @ row[:, :, None]) * row[:, None, :]
+    return stretch
+
+
 def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                        seed: int) -> LyapunovEstimate:
     """Mean per-step log stretches of an evolved orthonormal frame.
 
-    The trials evolve together as one (trials, dim, dim) stack; each step
-    applies one letter per trial, drawn from that trial's seeded stream.
-    The frames are re-orthonormalized by QR, signs chosen so diag(R) >= 0,
-    after each of ``BURN_IN`` unlogged steps, then every ``RENORM_EVERY``
-    steps and after the last; the logged stretches are |diag(R)|."""
+    The trials evolve together as one (trials, dim, dim) stack whose rows
+    are the frame vectors; each step applies one letter per trial, drawn
+    from that trial's seeded stream.  After ``BURN_IN`` unlogged steps,
+    numbered up to 0, come ``steps`` logged ones.  The frames are
+    re-orthonormalized by ``_orthonormalize`` at every step divisible by
+    ``RENORM_EVERY``, burn-in included, and after the last; the logged
+    stretches are those of the steps after 0.  A stretch below
+    ``_COLLAPSE`` at any re-orthonormalization, burn-in included, is a
+    frame collapse."""
     if steps < 100 or trials < 1:
         raise ValueError("lyapunov needs steps >= 100 and trials >= 1, "
                          "got steps %d and trials %d" % (steps, trials))
-    gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
-    k, dim = gens.shape[:2]
+    # a frame vector v moves to G v, so a row moves to v^T G^T
+    gens_t = np.array([m.to_lists() for m in family.matrices],
+                      dtype=float).transpose(0, 2, 1).copy()
+    k, dim = gens_t.shape[:2]
     seeds = [derive_seed(seed, steps, t) for t in range(trials)]
     rows = np.empty((trials, BURN_IN + steps), np.min_scalar_type(k - 1))
     for t, s in enumerate(seeds):
         rows[t] = letters(s, k, BURN_IN + steps)
-    frames = np.tile(np.eye(dim), (trials, 1, 1))
+    basis = np.tile(np.eye(dim), (trials, 1, 1))
     logs = np.zeros((trials, dim))
     collapsed = np.zeros(trials, dtype=bool)
-    with np.errstate(divide="ignore"):      # a collapsed frame logs -inf
+    # a collapsed or overflowing frame turns non-finite: named below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # one letter per trial per step; steps up to 0 burn in
         for step, column in enumerate(rows.T, 1 - BURN_IN):
-            frames = gens[column] @ frames
-            if step % RENORM_EVERY and 0 < step < steps:
+            basis = basis @ gens_t[column]
+            if step % RENORM_EVERY and step != steps:
                 continue
-            q, r = np.linalg.qr(frames)
-            d = np.diagonal(r, axis1=-2, axis2=-1)
-            frames = q * np.where(d >= 0, 1.0, -1.0)[..., None, :]
+            stretch = _orthonormalize(basis)
+            collapsed |= (stretch < _COLLAPSE).any(axis=1)
             if step > 0:
-                stretch = np.abs(d)
-                collapsed |= (stretch < _COLLAPSE).any(axis=1)
                 logs += np.log(stretch)
     per_trial = logs / steps
     failed = collapsed | ~np.isfinite(per_trial).all(axis=1)

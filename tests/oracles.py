@@ -14,8 +14,9 @@ from symwalk.generators import (GeneratorFamily, humphries_symplectic,
 from symwalk.homology import DivisorChain, fp_rank
 from symwalk.intmat import IntMatrix, det, identity, mat_mul, mod_p
 from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
-                              FrameCollapseError, LyapunovEstimate)
-from symwalk.walker import Word, derive_seed, word_product
+                              FrameCollapseError, LyapunovEstimate,
+                              _orthonormalize)
+from symwalk.walker import Word, derive_seed, letters, word_product
 
 
 def symplectic_form(g: int) -> IntMatrix:
@@ -285,52 +286,39 @@ def longest_run_rescan(letters, letter):
     return best
 
 
-def _qr_positive_2d(f):
-    q, r = np.linalg.qr(f)
-    d = np.diagonal(r).copy()
-    sign = np.where(d >= 0, 1.0, -1.0)
-    return q * sign, np.abs(d)
+def qr_positive(frames):
+    """LAPACK QR of a stack of frames, signs chosen so diag(R) >= 0:
+    the orthonormal factor and the stretches |diag(R)|."""
+    q, r = np.linalg.qr(frames)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d >= 0, 1.0, -1.0)[..., None, :], np.abs(d)
 
 
-def _one_lyapunov_trial(gens, steps, trial, seed):
-    dim = gens[0].shape[0]
-    rng = random.Random(seed)
-    k = len(gens)
-    frame = np.eye(dim)
-    for _ in range(BURN_IN):
-        frame = gens[rng.randrange(k)] @ frame
-        frame, _ = _qr_positive_2d(frame)
-    logs = np.zeros(dim)
-    done = 0
-    while done < steps:
-        block = min(RENORM_EVERY, steps - done)
-        for _ in range(block):
-            frame = gens[rng.randrange(k)] @ frame
-        frame, stretch = _qr_positive_2d(frame)
-        if np.any(stretch < _COLLAPSE):
-            raise FrameCollapseError(
-                "lyapunov trial %d (seed %d): frame collapsed; reduce the "
-                "renormalization period" % (trial, seed))
-        logs += np.log(stretch)
-        done += block
-    return logs / steps
+def lyapunov_lapack_reference(family, steps, trials, seed):
+    """An independent reference for ``estimate_exponents``, equal to it in
+    exact arithmetic but not in floating point: column frames, evolved
+    together as one stack and re-orthonormalized by LAPACK QR after each
+    of the ``BURN_IN`` steps, then after every ``RENORM_EVERY`` logged
+    steps and the last.  Frame collapse is not checked."""
+    gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
+    k, dim = gens.shape[:2]
+    rows = np.array([letters(derive_seed(seed, steps, t), k, BURN_IN + steps)
+                     for t in range(trials)])
+    frames = np.tile(np.eye(dim), (trials, 1, 1))
+    logs = np.zeros((trials, dim))
+    for step, column in enumerate(rows.T, 1 - BURN_IN):
+        frames = gens[column] @ frames
+        if 0 < step < steps and step % RENORM_EVERY:
+            continue
+        frames, stretch = qr_positive(frames)
+        if step > 0:
+            logs += np.log(stretch)
+    return _estimate(logs / steps)
 
 
-def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
-    """The QR-method estimate with one 2-D frame per trial, trials run in
-    order: the reference the stacked ``estimate_exponents`` must equal."""
-    gens = [np.array(m.to_lists(), dtype=float) for m in family.matrices]
-    per_trial = []
-    for t in range(trials):
-        trial_seed = derive_seed(seed, steps, t)
-        logs = _one_lyapunov_trial(gens, steps, t, trial_seed)
-        if not np.isfinite(logs).all():
-            raise FloatingPointError(
-                "lyapunov trial %d (seed %d) has non-finite log stretches; "
-                "the generators overflow double precision" % (t, trial_seed))
-        per_trial.append(logs)
-    per_trial = np.array(per_trial)
+def _estimate(per_trial):
     mean = per_trial.mean(axis=0)
+    trials = len(per_trial)
     if trials > 1:
         stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
@@ -339,3 +327,45 @@ def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
     return LyapunovEstimate(
         exponents=tuple(float(x) for x in mean[order]),
         standard_error=tuple(float(x) for x in stderr[order]))
+
+
+def _one_trial(gens_t, steps, trial, seed):
+    rng = random.Random(seed)
+    k = len(gens_t)
+    basis = np.eye(len(gens_t[0]))[None]
+    logs = 0.0
+    done = -BURN_IN
+    while done < steps:
+        block = min(RENORM_EVERY, steps - done)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(block):
+                basis = basis @ gens_t[rng.randrange(k)]
+            stretch = _orthonormalize(basis)[0]
+            if np.any(stretch < _COLLAPSE):
+                raise FrameCollapseError(
+                    "lyapunov trial %d (seed %d): frame collapsed; reduce "
+                    "the renormalization period" % (trial, seed))
+            if done >= 0:
+                logs += np.log(stretch)
+        done += block
+    return logs / steps
+
+
+def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
+    """The estimate with one (1, n, n) row frame per trial, re-orthonor-
+    malized by the library's kernel in blocks of ``RENORM_EVERY`` letters
+    from the start of the burn-in, trials run in order: the reference the
+    stacked ``estimate_exponents`` must equal."""
+    # row frames move by the transposed generators
+    gens_t = [np.array(m.to_lists(), dtype=float).T.copy()
+              for m in family.matrices]
+    per_trial = []
+    for t in range(trials):
+        trial_seed = derive_seed(seed, steps, t)
+        logs = _one_trial(gens_t, steps, t, trial_seed)
+        if not np.isfinite(logs).all():
+            raise FloatingPointError(
+                "lyapunov trial %d (seed %d) has non-finite log stretches; "
+                "the generators overflow double precision" % (t, trial_seed))
+        per_trial.append(logs)
+    return _estimate(np.array(per_trial))

@@ -7,7 +7,8 @@ matrix file reduced to its basename.  Any change to sampling, the exact
 arithmetic, the summaries or the output layout shows up as a changed
 digest.
 
-Not covered: ``lyapunov`` (its bytes depend on the LAPACK build).
+Not covered: ``lyapunov`` (its bytes depend on the BLAS and SIMD kernels
+of the numpy build).
 """
 
 import hashlib

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import lyapunov_one_trial_at_a_time
+from oracles import (lyapunov_lapack_reference, lyapunov_one_trial_at_a_time,
+                     qr_positive)
 from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 make_family)
 from symwalk.intmat import IntMatrix
 from symwalk.lyapunov import (FrameCollapseError, LyapunovEstimate,
-                              estimate_exponents)
+                              _orthonormalize, estimate_exponents)
 from symwalk.stats import clt_diagnostics, normal_cdf
 from symwalk.walker import derive_seed
 
@@ -44,12 +45,13 @@ def test_overflowing_family_fails_loudly():
     big = 10 ** 80
     fam = GeneratorFamily((IntMatrix(((1, big), (0, 1))),
                            IntMatrix(((1, 0), (big, 1)))))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(FloatingPointError, match="trial 0 \\(seed "):
+    # the estimator keeps numpy's overflow warnings to itself, which
+    # pytest would turn into errors: the named error is what arrives
+    with pytest.raises(FloatingPointError, match="trial 0 \\(seed "):
         estimate_exponents(fam, 100, 2, 1)
 
 
-@pytest.mark.parametrize("family, param, steps, trials, seed", [
+CASES = [
     ("humphries", 2, 300, 5, 1),
     ("humphries", 3, 200, 4, 2),
     ("stanek", 2, 300, 5, 3),
@@ -57,6 +59,11 @@ def test_overflowing_family_fails_loudly():
     ("humphries", 2, 500, 1, 5),
     ("humphries", 2, 100, 3, 6),       # the minimum, as long as the burn-in
     ("stanek", 2, 101, 3, 7),          # a last block of one letter
+]
+
+
+@pytest.mark.parametrize("family, param, steps, trials, seed", CASES + [
+    ("humphries", 4, 120, 3, 8),       # 8 x 8 frames: unrolled reductions
 ])
 def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
                                                    trials, seed):
@@ -65,6 +72,37 @@ def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
     ref = lyapunov_one_trial_at_a_time(fam, steps, trials, seed)
     assert est.exponents == ref.exponents
     assert est.standard_error == ref.standard_error
+
+
+@pytest.mark.parametrize("family, param, steps, trials, seed", CASES + [
+    ("humphries", 2, 2000, 100, 1),    # the CLI default
+])
+def test_estimate_equals_the_lapack_reference(family, param, steps, trials,
+                                              seed):
+    # the two differ only in rounding: the frames stay within a few eps
+    # of each other (the frame dynamics contract), so each logged log
+    # stretch and their mean differ by a few eps; 1e-12 is ~4500 eps
+    fam = make_family(family, param)
+    est = estimate_exponents(fam, steps, trials, seed)
+    ref = lyapunov_lapack_reference(fam, steps, trials, seed)
+    assert est.exponents == pytest.approx(ref.exponents, rel=0, abs=1e-12)
+    assert est.standard_error == pytest.approx(ref.standard_error, rel=0,
+                                               abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orthonormalize_is_the_positive_diagonal_qr(n):
+    # modified Gram-Schmidt and Householder QR each err by about
+    # eps * kappa(F) (Bjorck 1967); n * eps * kappa bounds both, per frame
+    frames = np.random.default_rng(n).standard_normal((50, n, n))
+    tol = n * np.finfo(float).eps * np.linalg.cond(frames)
+    q, stretch = qr_positive(frames)
+    basis = frames.transpose(0, 2, 1).copy()     # rows are the columns
+    got = _orthonormalize(basis)
+    assert ((abs(got - stretch) / stretch).max(axis=1) <= tol).all()
+    assert (abs(basis - q.transpose(0, 2, 1)).max(axis=(1, 2)) <= tol).all()
+    gram = basis @ basis.transpose(0, 2, 1)
+    assert (abs(gram - np.eye(n)).max(axis=(1, 2)) <= tol).all()
 
 
 def test_frame_collapse_names_the_trial():

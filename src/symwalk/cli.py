@@ -31,8 +31,8 @@ from . import __version__
 from .generators import make_family
 from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
                        heegaard_homology, smith_normal_form, torsion_order)
-# Not called here (torsion_order computes it for singular samples), but
-# bench/child.py traces both under their cli names.
+# No call goes through this name (torsion_order calls homology's own); it
+# stays only because bench/child.py looks the name up on this module.
 from .homology import mapping_torus_homology  # noqa: F401
 from .intmat import IntMatrix, is_symplectic
 from .lyapunov import estimate_exponents

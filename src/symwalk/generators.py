@@ -22,8 +22,8 @@ from .intmat import IntMatrix, det, inverse
 @dataclass(frozen=True)
 class GeneratorFamily:
     """An ordered list of integer matrix generators, each of determinant 1.
-    It is plain, picklable data; ``walker`` compiles its product kernels
-    from ``matrices`` in each process."""
+    It is plain, picklable data; ``walker`` compiles its product walk, one
+    function for all members, from ``matrices`` in each process."""
 
     matrices: tuple
 

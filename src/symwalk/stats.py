@@ -13,7 +13,8 @@ where its product lands in the closure G of the letters mod p.  One
 the predicted law, and its ``rank`` walks a sample on G, one table lookup
 per letter, instead of building the exact product.  It reduces the
 letters through ``mod_p``, the package's one check that p is prime, and
-closes G through the ``walker`` kernels, one call per pass and generator.
+closes G through the ``walker``'s compiled walk, one one-letter call per
+pass and distinct generator.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ def walk_closure(family, p: int):
     ``mod_p`` refuses a p that is not prime.  An element is the tuple of
     its residues, row by row."""
     reduced = [mod_p(m, p).rows for m in family.matrices]
-    kernels = dict(zip(reduced, _kernels(family.matrices)[1]))
-    moves = {g: [] for g in kernels}    # one table per distinct generator
+    first = {g: reduced.index(g) for g in reduced}  # g's first letter
+    walk = _kernels(family.matrices)[1]
+    moves = {g: [] for g in first}      # one table per distinct generator
     n = family.dim
     group = [tuple(int(i == j) for i in range(n) for j in range(n))]
     index, visited = {group[0]: 0}, 0
@@ -207,8 +209,8 @@ def walk_closure(family, p: int):
         visited += len(level)
         cols = list(level.transpose(2, 0, 1))   # kept columns stay reduced
         images = [np.stack([y if y is x else y % p for x, y in
-                            zip(cols, kernel(*cols))], 2).reshape(-1, n * n)
-                  for kernel in kernels.values()]
+                            zip(cols, walk(*cols, (a,)))], 2)
+                  .reshape(-1, n * n) for a in first.values()]
         for ys in zip(*(y.tolist() for y in images)):  # x·g: each x, g in turn
             for y, move in zip(map(tuple, ys), moves.values()):
                 move.append(index.setdefault(y, len(group)))

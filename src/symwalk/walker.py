@@ -18,25 +18,26 @@ little-endian.  ``tests/test_walker.py`` pins the replay against
 ``randrange`` itself, so a change to ``_randbelow`` fails there instead of
 silently changing every CSV.
 
-Products apply each letter through its generator's column action: a
-letter rebuilds only the columns where its generator differs from the
-identity, each as a combination of old columns.  Each process compiles the
-matrices of a family once into one straight-line function per generator
-(``_kernels``), so a letter is one call and no interpreted loop over
+Products apply each letter through its generator's column action: a letter
+rebuilds only the columns where its generator differs from the identity,
+each as a combination of old columns.  Each process compiles the matrices
+of a family once into one function (``_kernels``) that loops over a block
+of letters in one Python frame and picks each letter's column statement by
+a binary ``if`` tree: a letter is no call and no interpreted loop over
 terms.  Each column of the running product is held as one integer, its
 entries packed ``w`` bits apart (``sum(x_r * 2**(w*r))``, Kronecker
-substitution), so a combination of columns is one big-integer operation
-per term instead of one per entry.  Packing is Z-linear, so the packed
+substitution), so a combination of columns is one big-integer operation per
+term instead of one per entry.  Packing is Z-linear, so the packed
 combination is exactly the packed column, and unpacking with balanced
 digits recovers the entries while every ``|x_r| < 2**(w-1)``.  A letter
-multiplies the largest entry by at most the largest column 1-norm ``N``
-of any member, which adds at most ``grow = ceil(log2 N)`` bits (``_kernels``
-returns it with the kernels), so the product is unpacked and re-packed
-every ``_BLOCK`` letters with a width of the current entry size plus
-``grow`` bits per letter of the next block: the width tracks the size the
-entries actually reach, not the ``N**L`` bound of a whole word.  The same
-kernels, called on arrays of residues, close the group of the letters mod
-p in ``stats.walk_closure``.
+multiplies the largest entry by at most the largest column 1-norm ``N`` of
+any member, which adds at most ``grow = ceil(log2 N)`` bits (``_kernels``
+returns it with the walk), so the product is unpacked and re-packed every
+``_BLOCK`` letters, one walk call per block, with a width of the current
+entry size plus ``grow`` bits per letter of the next block: the width
+tracks the size the entries actually reach, not the ``N**L`` bound of a
+whole word.  The same walk, called on arrays of residues with one letter,
+closes the group of the letters mod p in ``stats.walk_closure``.
 
 A ``Word`` carries its exact product: ``Word.product`` is computed on
 first read and kept, so a record that needs only the letters
@@ -206,38 +207,57 @@ def _unpack(v: int, w: int, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _kernels(matrices: tuple) -> tuple:
-    """``(grow, kernels)`` for a family of these member matrices.
-    ``kernels[k]`` takes the packed columns ``p0..`` of a product ``P`` and
-    returns those of ``P·matrices[k]``, e.g. ``lambda p0, p1: (p0, p1 +
-    p0)``; it rebuilds only the columns where the member differs from the
-    identity, diagonal term first.  The source holds only the names
-    ``p<i>`` and integers formatted with ``%d``.  ``grow = ceil(log2 N)``
-    for ``N`` the largest column 1-norm of any member.  Cached for the
-    life of the process, which meets one family per run, on the matrices
-    rather than the family, so the cache keeps no family alive."""
+    """``(grow, walk)`` for a family of these member matrices.
+    ``walk(p0, .., letters)`` takes the packed columns ``p0..`` of a product
+    ``P`` and returns those of ``P`` times each member ``letters`` names.  A
+    binary ``if a < mid:`` tree ending in chains of at most 3 members picks
+    the statement of letter ``a``, e.g. ``p1 = p1 + p0``: it rebuilds only
+    the columns where its member differs from the identity, diagonal term
+    first (``pass`` for the identity).  The source holds only ``p<i>``,
+    ``a``, ``letters``, keywords and ``%d`` integers, compiled with an empty
+    namespace.  ``grow = ceil(log2 N)`` for ``N`` the largest column 1-norm
+    of any member.  Cached for the life of the process, which meets one
+    family per run, on the matrices, so the cache keeps no family alive."""
     n = matrices[0].dim
     args = ", ".join("p%d" % i for i in range(n))
-    kernels = []
+    updates = []
     for m in matrices:
-        cols = ["p%d" % i for i in range(n)]
+        cols = {}
         for j, col in enumerate(zip(*m.rows)):
             if any(c != (i == j) for i, c in enumerate(col)):
                 terms = sorted(((i, c) for i, c in enumerate(col) if c),
                                key=lambda term: term[0] != j)
                 # " + p1 - 2 * p0" -> "p1 - 2 * p0"; a leading "-" stays unary
-                cols[j] = "".join(
+                cols["p%d" % j] = "".join(
                     " %s %sp%d" % ("-" if c < 0 else "+",
                                    "" if abs(c) == 1 else "%d * " % abs(c), i)
                     for i, c in terms).lstrip(" +")
-        kernels.append(eval("lambda %s: (%s,)" % (args, ", ".join(cols)), {}))
+        updates.append("%s = %s" % (", ".join(cols), ", ".join(cols.values()))
+                       if cols else "pass")
+
+    def tree(lo, hi, pad):      # the source lines of members lo..hi-1
+        if hi - lo > 3:
+            mid = (lo + hi) // 2
+            return ([pad + "if a < %d:" % mid] + tree(lo, mid, pad + "    ")
+                    + [pad + "else:"] + tree(mid, hi, pad + "    "))
+        if hi - lo == 1:
+            return [pad + updates[lo]]
+        heads = ["if a == %d:" % lo, "elif a == %d:" % (lo + 1)][:hi - lo - 1]
+        return [line for head, update in zip(heads + ["else:"], updates[lo:hi])
+                for line in (pad + head, pad + "    " + update)]
+
+    namespace = {}
+    exec("\n".join(["def walk(%s, letters):" % args, "    for a in letters:"]
+                   + tree(0, len(matrices), " " * 8)
+                   + ["    return %s," % args]), namespace)
     norm = max(sum(map(abs, col)) for m in matrices for col in zip(*m.rows))
-    return (norm - 1).bit_length(), tuple(kernels)
+    return (norm - 1).bit_length(), namespace["walk"]
 
 
 def word_product(word: Word) -> IntMatrix:
     """Exact left-to-right product of the lettered generators; the empty
     word gives the identity."""
-    grow, kernels = _kernels(word.family.matrices)
+    grow, walk = _kernels(word.family.matrices)
     n = word.family.dim
     cols = identity(n).rows         # symmetric: its rows are its columns
     for start in range(0, word.length, _BLOCK):
@@ -246,9 +266,7 @@ def word_product(word: Word) -> IntMatrix:
         # block |x| < 2**(bits + len(block)*grow) < 2**(w-1): unpack holds
         bits = max(abs(x) for col in cols for x in col).bit_length()
         w = bits + len(block) * grow + 2
-        packed = [_pack(col, w) for col in cols]
-        for letter in block:
-            packed = kernels[letter](*packed)
+        packed = walk(*[_pack(col, w) for col in cols], block)
         cols = [_unpack(v, w, n) for v in packed]
     return _unchecked(IntMatrix, rows=tuple(zip(*cols)))
 

@@ -129,16 +129,18 @@ _WIDE_COEFFICIENTS = GeneratorFamily((
     hru5(3)))
 
 
-# the compiled kernels of transvections (Humphries), signed permutations
+# the compiled walk of transvections (Humphries), signed permutations
 # (Stanek's dd; Hua-Reiner's hru5, whose corner entry is (-1)**(n-1)),
 # their products (Stanek n >= 4) and wider coefficients
-@pytest.mark.parametrize("fam", [humphries_symplectic(2), hua_reiner(3),
-                                 stanek(2), stanek(4),
-                                 symmetric_closure(humphries_symplectic(2)),
-                                 stanek(3), hua_reiner(4), _APERIODIC_SL2,
-                                 _WIDE_COEFFICIENTS, humphries_symplectic(3),
-                                 symmetric_closure(humphries_symplectic(3)),
-                                 stanek(1), hua_reiner(2)])
+_PRODUCT_FAMILIES = [humphries_symplectic(2), hua_reiner(3), stanek(2),
+                     stanek(4), symmetric_closure(humphries_symplectic(2)),
+                     stanek(3), hua_reiner(4), _APERIODIC_SL2,
+                     _WIDE_COEFFICIENTS, humphries_symplectic(3),
+                     symmetric_closure(humphries_symplectic(3)),
+                     stanek(1), hua_reiner(2)]
+
+
+@pytest.mark.parametrize("fam", _PRODUCT_FAMILIES)
 def test_fast_product_matches_dense(fam):
     # prefixes of one word, on both sides of every re-packing block edge;
     # the empty prefix is the identity
@@ -190,9 +192,37 @@ def test_family_pickles_after_a_product():
 
 def test_kernels_are_compiled_once_per_family():
     fam = humphries_symplectic(2)
-    compiled = _kernels(fam.matrices)
+    grow, walk = compiled = _kernels(fam.matrices)
     assert _kernels(humphries_symplectic(2).matrices) is compiled
-    assert len(compiled[1]) == len(fam)
+    assert isinstance(grow, int) and callable(walk)
+
+
+# every family of test_fast_product_matches_dense, and one with an
+# identity member; symmetric Humphries g3 (14 letters) reaches every leaf
+# of a three-level tree
+@pytest.mark.parametrize("fam", _PRODUCT_FAMILIES + [GeneratorFamily((
+    IntMatrix(((1, 1), (0, 1))), identity(2), IntMatrix(((0, -1), (1, 0)))))])
+def test_walk_applies_each_letter(fam):
+    walk = _kernels(fam.matrices)[1]
+    rng = random.Random(7)
+    n = fam.dim
+    p = IntMatrix(tuple(tuple(rng.randrange(-9, 10) for _ in range(n))
+                        for _ in range(n)))
+    cols = list(np.array(p.rows).T)
+    assert all(y is x for x, y in zip(cols, walk(*cols, ())))
+    for a, m in enumerate(fam.matrices):
+        got = walk(*cols, (a,))
+        assert len(got) == n
+        assert np.stack(got, 1).tolist() == list(map(list, mat_mul(p, m).rows))
+
+
+@pytest.mark.parametrize("name, param", [("humphries", 2), ("humphries", 3),
+                                         ("hua-reiner", 3), ("stanek", 2),
+                                         ("stanek", 4)])
+@pytest.mark.parametrize("mode", ["positive-only", "symmetric"])
+def test_walk_looks_up_no_global_or_builtin(name, param, mode):
+    fam = BatchConfig(name, param, (1, 1, 1), 1, 0, mode).resolve_family()
+    assert _kernels(fam.matrices)[1].__code__.co_names == ()
 
 
 def test_word_product_keeps_no_family_alive():

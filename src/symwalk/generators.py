@@ -39,6 +39,11 @@ class GeneratorFamily:
             if det(m) != 1:
                 raise ValueError("generator has determinant != 1")
 
+    def __getstate__(self):
+        # only the matrices travel: the walk a process compiles from them
+        # and keeps on the object (walker._family_kernels) stays behind
+        return {"matrices": self.matrices}
+
     @property
     def dim(self) -> int:
         return self.matrices[0].dim

@@ -16,7 +16,10 @@ from .walker import LETTER_BOUND, derive_seed, letters
 
 
 def longest_run_in(letters, letter: int) -> int:
-    """Maximal length of a consecutive block of the given letter."""
+    """Maximal length of a consecutive block of the given letter in a
+    sequence of ints, ``bytes`` included."""
+    if isinstance(letters, bytes):
+        letters = np.frombuffer(letters, np.uint8)
     where = np.flatnonzero(np.asarray(letters) == letter)
     # a run ends wherever the next position of the letter is not adjacent;
     # with no such position the one "run" is empty

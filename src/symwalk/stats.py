@@ -30,7 +30,7 @@ import numpy as np
 
 from .homology import _fp_nullity
 from .intmat import mod_p
-from .walker import _kernels
+from .walker import _family_kernels
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,17 @@ def walk_closure(family, p: int):
     its residues, row by row."""
     reduced = [mod_p(m, p).rows for m in family.matrices]
     first = {g: reduced.index(g) for g in reduced}  # g's first letter
-    walk = _kernels(family.matrices)[1]
+    walk = _family_kernels(family)[1]
     moves = {g: [] for g in first}      # one table per distinct generator
     n = family.dim
     group = [tuple(int(i == j) for i in range(n) for j in range(n))]
     index, visited = {group[0]: 0}, 0
     while visited < len(group):         # group grows as it is visited
-        level = np.array(group[visited:visited + GROUP_ORDER_BOUND + 1
-                               - len(group)], dtype=object).reshape(-1, n, n)
+        # an element adds at most one new element per distinct generator,
+        # so |G| cannot pass the bound before this many more are visited
+        take = -(-(GROUP_ORDER_BOUND + 1 - len(group)) // len(first))
+        level = np.array(group[visited:visited + take],
+                         dtype=object).reshape(-1, n, n)
         visited += len(level)
         cols = list(level.transpose(2, 0, 1))   # kept columns stay reduced
         images = [np.stack([y if y is x else y % p for x, y in

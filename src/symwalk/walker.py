@@ -16,7 +16,13 @@ is ``>= k``; for ``b <= 32`` that is the top ``b`` bits of one 32-bit
 output, and ``getrandbits(32*m)`` packs ``m`` consecutive outputs
 little-endian.  ``tests/test_walker.py`` pins the replay against
 ``randrange`` itself, so a change to ``_randbelow`` fails there instead of
-silently changing every CSV.
+silently changing every CSV.  For ``k <= 255`` the ``b`` bits lie in the
+top byte of each output, every fourth byte of the draw: one
+``bytes.translate`` shifts those bytes down and drops the ones ``>= k``
+in C, and the letters stay ``bytes`` from there on, as ``Word.letters``,
+through the compiled walk and ``stats.WalkClosure.rank``, into the
+Lyapunov rows (``np.frombuffer``) and the longest runs.  From 256 letters
+(9 bits) on, numpy filters the 32-bit outputs into a ``uint32`` array.
 
 Products apply each letter through its generator's column action: a letter
 rebuilds only the columns where its generator differs from the identity,
@@ -24,27 +30,30 @@ each as a combination of old columns.  Each process compiles the matrices
 of a family once into one function (``_kernels``) that loops over a block
 of letters in one Python frame and picks each letter's column statement by
 a binary ``if`` tree: a letter is no call and no interpreted loop over
-terms.  Each column of the running product is held as one integer, its
-entries packed ``w`` bits apart (``sum(x_r * 2**(w*r))``, Kronecker
-substitution), so a combination of columns is one big-integer operation per
-term instead of one per entry.  Packing is Z-linear, so the packed
-combination is exactly the packed column, and unpacking with balanced
-digits recovers the entries while every ``|x_r| < 2**(w-1)``.  A letter
-multiplies the largest entry by at most the largest column 1-norm ``N`` of
-any member, which adds at most ``grow = ceil(log2 N)`` bits (``_kernels``
-returns it with the walk), so the product is unpacked and re-packed every
-``_BLOCK`` letters, one walk call per block, with a width of the current
-entry size plus ``grow`` bits per letter of the next block: the width
-tracks the size the entries actually reach, not the ``N**L`` bound of a
-whole word.  The same walk, called on arrays of residues with one letter,
-closes the group of the letters mod p in ``stats.walk_closure``.
+terms.  A family object keeps its compiled walk once it has looked it up
+(``_family_kernels``), so a product hashes no matrix.  Each column of the
+running product is held as one integer, its entries packed ``w`` bits apart
+(``sum(x_r * 2**(w*r))``, Kronecker substitution), so a combination of
+columns is one big-integer operation per term instead of one per entry.
+Packing is Z-linear, so the packed combination is exactly the packed
+column, and unpacking with balanced digits recovers the entries while every
+``|x_r| < 2**(w-1)``.  A letter multiplies the largest entry by at most the
+largest column 1-norm ``N`` of any member, which adds at most ``grow =
+ceil(log2 N)`` bits (``_kernels`` returns it with the walk), so the product
+is unpacked and re-packed every ``_BLOCK`` letters, one walk call per
+block, with a width of the current entry size plus ``grow`` bits per letter
+of the next block: the width tracks the size the entries actually reach,
+not the ``N**L`` bound of a whole word.  The same walk, called on arrays of
+residues with one letter, closes the group of the letters mod p in
+``stats.walk_closure``.
 
 A ``Word`` carries its exact product: ``Word.product`` is computed on
 first read and kept, so a record that needs only the letters
 (``modp-rank`` within its group bound) never builds it.  The words
 ``sample_word`` draws and the products ``word_product`` builds are valid
 by construction and skip their checks (``intmat._unchecked``); a ``Word``
-a caller builds is checked.
+a caller builds is checked, and its letters are held as ``sample_word``
+holds them, ``bytes`` below ``BYTE_BOUND`` members.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
 LETTER_BOUND = 1 << 32      # letters replays one 32-bit MT19937 word per draw
+BYTE_BOUND = 1 << 8         # below it, letters filters and returns bytes
 _BLOCK = 128                # word_product re-packs its columns this often
 
 
@@ -83,37 +93,70 @@ def derive_seed(master_seed: int, length: int, index: int) -> int:
     return s
 
 
-def letters(seed: int, k: int, length: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _byte_filter(k: int) -> tuple:
+    """``(table, drop)`` for ``bytes.translate`` at ``k < BYTE_BOUND``
+    letters: ``table`` keeps the top ``k.bit_length()`` bits of a byte, and
+    ``drop`` holds the bytes whose top bits are ``>= k``."""
+    shift = 8 - k.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    return table, bytes(b for b in range(256) if table[b] >= k)
+
+
+def letters(seed: int, k: int, length: int):
     """The first ``length`` letters of the uniform stream over ``k``
-    letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each,
-    as an unsigned-integer array.
+    letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each.
 
     The raw 32-bit MT19937 words are drawn in bulk and each keeps its top
-    ``k.bit_length()`` bits, so the replay is exact only for
-    ``1 <= k < 2**32``; other ``k`` raise ``ValueError``."""
+    ``k.bit_length()`` bits.  For ``k < BYTE_BOUND`` those bits lie in the
+    word's top byte, so the filter is one ``bytes.translate`` of the top
+    bytes and the letters come back as ``bytes``; from ``BYTE_BOUND`` on,
+    numpy filters the words and they come back as a ``uint32`` array.  The
+    replay is exact only for ``1 <= k < 2**32``; other ``k`` raise
+    ``ValueError``."""
     if not 1 <= k < LETTER_BOUND:
         raise ValueError("letters needs 1 <= k < 2**32, got k = %d" % k)
     rng = random.Random(seed)
     bits = k.bit_length()
-    chunks, have = [np.empty(0, np.uint32)], 0
-    while have < length:
+
+    def draw(have):
         # a word is kept with probability k / 2**bits: draw the expected
-        # number of words still needed, plus a margin, and top up if short
+        # number of words still needed, plus a margin; short, draw again
         m = ((length - have) << bits) // k + 64
-        raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-        words = np.frombuffer(raw, "<u4") >> (32 - bits)
-        chunks.append(words[words < k])
-        have += chunks[-1].size
-    return np.concatenate(chunks)[:length]
+        return rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+
+    if k < BYTE_BOUND:
+        table, drop = _byte_filter(k)
+        out = b""
+        while len(out) < length:    # the top byte of each little-endian word
+            out += draw(len(out))[3::4].translate(table, drop)
+        return out[:length]
+    out = np.empty(0, np.uint32)
+    while out.size < length:
+        words = np.frombuffer(draw(out.size), "<u4") >> (32 - bits)
+        out = np.concatenate((out, words[words < k]))
+    return out[:length]
+
+
+def _held(k: int, seq):
+    """``seq``, a sequence of letters over ``k``, as ``Word.letters`` holds
+    it: ``bytes`` for ``k < BYTE_BOUND``, as ``letters`` draws it, else a
+    tuple of ints."""
+    if k >= BYTE_BOUND:
+        return tuple(map(int, seq))
+    # bytes(seq) of a numpy array would copy its buffer, not its letters
+    return seq if type(seq) is bytes else bytes(map(operator.index, seq))
 
 
 @dataclass(frozen=True)
 class Word:
     """A sequence of generator indices over a family, and its exact
-    ``product``, computed on first read and kept."""
+    ``product``, computed on first read and kept.  Whatever sequence of
+    ints it is built from, ``letters`` is held as ``sample_word`` draws it
+    (``_held``), so words with equal letters are equal."""
 
     family: GeneratorFamily
-    letters: tuple
+    letters: bytes          # a tuple of ints from BYTE_BOUND members on
 
     def __post_init__(self):
         k = len(self.family)
@@ -125,6 +168,7 @@ class Word:
             if not ok:
                 raise ValueError("letter %d out of range for family of %d"
                                  % (a, k))
+        object.__setattr__(self, "letters", _held(k, self.letters))
 
     @property
     def length(self) -> int:
@@ -179,8 +223,9 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     """Uniform i.i.d. letters over the family, deterministic in the seed."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    return _unchecked(Word, family=family, letters=tuple(
-        letters(seed, len(family), length).tolist()))
+    k = len(family)
+    return _unchecked(Word, family=family,
+                      letters=_held(k, letters(seed, k, length)))
 
 
 def _pack(col, w: int) -> int:
@@ -254,10 +299,21 @@ def _kernels(matrices: tuple) -> tuple:
     return (norm - 1).bit_length(), namespace["walk"]
 
 
+def _family_kernels(family: GeneratorFamily) -> tuple:
+    """``_kernels(family.matrices)``, kept on the family object from its
+    first lookup on, so that a product hashes no matrix.  Equal families
+    share one walk through ``_kernels``'s cache, and a family pickles
+    without it (``GeneratorFamily.__getstate__``)."""
+    kept = vars(family)
+    if "_kernels" not in kept:
+        kept["_kernels"] = _kernels(family.matrices)
+    return kept["_kernels"]
+
+
 def word_product(word: Word) -> IntMatrix:
     """Exact left-to-right product of the lettered generators; the empty
     word gives the identity."""
-    grow, walk = _kernels(word.family.matrices)
+    grow, walk = _family_kernels(word.family)
     n = word.family.dim
     cols = identity(n).rows         # symmetric: its rows are its columns
     for start in range(0, word.length, _BLOCK):

@@ -247,23 +247,26 @@ def rank_law_by_enumeration(family, p, length):
     return {rank: Fraction(c, words) for rank, c in sorted(counts.items())}
 
 
-def closure_one_element_at_a_time(family, p, bound):
+def closure_one_element_at_a_time(family, p, bound, visited=None):
     """``(moves, ranks)`` of the walk mod p on the closure G of the
     letters, numbered as ``stats.walk_closure`` numbers it, or None once
     |G| exceeds ``bound``.  Breadth first, one element and one distinct
     generator at a time: each product is ``mod_p(mat_mul(x, g), p)`` and
-    each rank ``fp_rank``."""
+    each rank ``fp_rank``.  A list passed as ``visited`` gets the number
+    of elements whose images were taken."""
     reduced = [mod_p(m, p) for m in family.matrices]
     moves = {g: [] for g in reduced}
     group = [identity(family.dim)]
     index = {group[0]: 0}
-    for x in group:
+    for count, x in enumerate(group, 1):
         for g, move in moves.items():
             y = mod_p(mat_mul(x, g), p)
             move.append(index.setdefault(y, len(group)))
             if move[-1] == len(group):
                 group.append(y)
         if len(group) > bound:
+            if visited is not None:
+                visited.append(count)
             return None
     return (tuple(tuple(moves[g]) for g in reduced),
             tuple(fp_rank(x, p) for x in group))
@@ -302,7 +305,8 @@ def lyapunov_lapack_reference(family, steps, trials, seed):
     steps and the last.  Frame collapse is not checked."""
     gens = np.array([m.to_lists() for m in family.matrices], dtype=float)
     k, dim = gens.shape[:2]
-    rows = np.array([letters(derive_seed(seed, steps, t), k, BURN_IN + steps)
+    rows = np.array([np.frombuffer(letters(derive_seed(seed, steps, t), k,
+                                           BURN_IN + steps), np.uint8)
                      for t in range(trials)])
     frames = np.tile(np.eye(dim), (trials, 1, 1))
     logs = np.zeros((trials, dim))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import longest_run_rescan
 from symwalk.generators import hua_reiner
 from symwalk.punctured import longest_run_in, run_scaling_experiment
-from symwalk.walker import Word, letters, sample_word
+from symwalk.walker import Word, derive_seed, letters, sample_word
 
 
 def test_longest_run_examples():
@@ -64,6 +65,23 @@ def test_run_scaling_single_length_has_no_fit():
     res = run_scaling_experiment(2, [128], samples=5, seed=0)
     assert res.fit is None
     assert len(res.rows) == 1
+
+
+@pytest.mark.parametrize("alphabet", [255, 256])
+def test_run_scaling_experiment_is_the_randrange_experiment(alphabet):
+    # 255 letters draw through the bytes filter, 256 through numpy
+    lengths, samples, seed = [300, 1000], 40, 9
+    reference = []
+    for n in lengths:
+        runs = []
+        for j in range(samples):
+            draw = random.Random(derive_seed(seed, n, j)).randrange
+            runs.append(longest_run_rescan([draw(alphabet) for _ in range(n)],
+                                           0))
+        reference.append((n, sum(runs) / samples))
+    got = run_scaling_experiment(alphabet, lengths, samples, seed)
+    assert got.rows == tuple(reference)
+    assert any(mean > 0 for _, mean in got.rows)
 
 
 @pytest.mark.parametrize("alphabet, lengths, samples, bad", [

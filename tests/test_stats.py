@@ -226,3 +226,29 @@ def test_walk_closure_equals_one_element_at_a_time(family, p):
     found = None if closure is None else (closure.moves, closure.ranks)
     assert found == closure_one_element_at_a_time(
         family, p, stats.GROUP_ORDER_BOUND)
+
+
+@pytest.mark.parametrize("family, p, bound", [
+    (H2_SYMMETRIC, 2, 500),                 # Sp(4, F_2), 720 elements
+    (H2_SYMMETRIC, 2, 124),                 # a cap one larger overshoots
+    (humphries_symplectic(2), 3, 2000),
+    (hua_reiner(4), 2, stats.GROUP_ORDER_BOUND),
+], ids=["humphries2-sym-p2", "humphries2-sym-p2-bound124",
+        "humphries2-p3", "hua-reiner4-p2"])
+def test_walk_closure_takes_no_image_past_the_bound(monkeypatch, family, p,
+                                                     bound):
+    # a search that ends in None walks exactly the elements the one-at-a-
+    # time search visits before |G| passes the bound, and no more
+    monkeypatch.setattr(stats, "GROUP_ORDER_BOUND", bound)
+    compiled, walked = stats._family_kernels, []
+
+    def counting(fam):
+        grow, walk = compiled(fam)
+        return grow, lambda *args: walked.append(len(args[0])) or walk(*args)
+
+    monkeypatch.setattr(stats, "_family_kernels", counting)
+    assert walk_closure(family, p) is None
+    visited = []
+    assert closure_one_element_at_a_time(family, p, bound, visited) is None
+    distinct = len({stats.mod_p(m, p) for m in family.matrices})
+    assert sum(walked) == distinct * visited[0]

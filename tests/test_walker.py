@@ -15,14 +15,16 @@ from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
-from symwalk.walker import (BatchConfig, BatchError, Word, _kernels, _pack,
-                            _unpack, derive_seed, letters, run_batch,
-                            sample_word, word_product)
+from symwalk.walker import (BatchConfig, BatchError, Word, _family_kernels,
+                            _kernels, _pack, _unpack, derive_seed, letters,
+                            run_batch, sample_word, word_product)
 
 
 # powers of two reject half the words; 2**31 + 1 and 2**32 - 1 keep all
-# 32 bits of each
+# 32 bits of each; up to 255 letters the top byte is filtered as bytes,
+# from 256 (9 bits) on the words are filtered by numpy
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16,
+                               127, 128, 129, 200, 254, 255, 256, 257,
                                2 ** 31 + 1, 2 ** 32 - 1])
 def test_letters_is_the_randrange_stream(k):
     # every sampler draws through letters(); its bulk MT19937 replay must
@@ -31,8 +33,11 @@ def test_letters_is_the_randrange_stream(k):
         for length in (0, 1, 2, 3, 31, 32, 33, 500, 16384):
             draw = random.Random(seed).randrange
             got = letters(seed, k, length)
-            assert isinstance(got, np.ndarray) and got.dtype.kind == "u"
-            assert got.tolist() == [draw(k) for _ in range(length)]
+            if k <= 255:
+                assert type(got) is bytes
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == np.uint32
+            assert list(got) == [draw(k) for _ in range(length)]
 
 
 @pytest.mark.parametrize("k", [0, -1, 2 ** 32, 2 ** 40])
@@ -44,7 +49,8 @@ def test_letters_rejects_alphabets_the_replay_cannot_draw(k):
 def test_single_generator_word_is_constant():
     fam = GeneratorFamily((identity(2),))
     w = sample_word(fam, 5, 12345)
-    assert w.letters == (0, 0, 0, 0, 0)
+    assert w.letters == bytes(5)
+    assert w == Word(fam, (0, 0, 0, 0, 0))
 
 
 def test_sample_word_deterministic():
@@ -53,6 +59,24 @@ def test_sample_word_deterministic():
     w2 = sample_word(fam, 1000, 999)
     assert w1.letters == w2.letters
     assert w1 == Word(fam, w1.letters)      # a word the checks accept
+
+
+# 255 members hold letters as bytes, 256 as a tuple of ints
+@pytest.mark.parametrize("k, held", [(2, bytes), (5, bytes), (255, bytes),
+                                     (256, tuple), (257, tuple)])
+def test_word_holds_letters_as_sample_word_draws_them(k, held):
+    fam = GeneratorFamily((identity(1),) * k)
+    drawn = sample_word(fam, 300, 4)
+    assert type(drawn.letters) is held
+    as_ints = list(drawn.letters)
+    draw = random.Random(4).randrange
+    assert as_ints == [draw(k) for _ in range(300)]
+    for built in (as_ints, tuple(as_ints), np.array(as_ints),
+                  [np.int64(a) for a in as_ints], drawn.letters):
+        word = Word(fam, built)
+        assert type(word.letters) is held
+        assert word == drawn and hash(word) == hash(drawn)
+    assert drawn.product == identity(1)
 
 
 def test_letter_frequencies():
@@ -195,6 +219,20 @@ def test_kernels_are_compiled_once_per_family():
     grow, walk = compiled = _kernels(fam.matrices)
     assert _kernels(humphries_symplectic(2).matrices) is compiled
     assert isinstance(grow, int) and callable(walk)
+
+
+def test_equal_families_built_apart_or_unpickled_share_one_walk():
+    fam = symmetric_closure(humphries_symplectic(2))
+    walk = _family_kernels(fam)[1]
+    apart = symmetric_closure(humphries_symplectic(2))
+    unpickled = pickle.loads(pickle.dumps(fam))
+    assert apart is not fam and unpickled is not fam
+    for other in (fam, apart, unpickled):
+        assert _family_kernels(other)[1] is walk
+    # a word over each family runs that one walk
+    word = sample_word(fam, 300, 8)
+    assert (word_product(Word(apart, word.letters))
+            == word_product(Word(unpickled, word.letters)) == word.product)
 
 
 # every family of test_fast_product_matches_dense, and one with an

@@ -143,11 +143,7 @@ def _length_summaries(groups):
     """Manifest ``per_length`` summaries and the ``fit`` of their means
     against length."""
     lengths = sorted(groups)
-    per_length = {}
-    for length in lengths:
-        s = summarize(groups[length])
-        per_length[str(length)] = {"count": s.count, "mean": s.mean,
-                                   "variance": s.variance}
+    per_length = {str(n): asdict(summarize(groups[n])) for n in lengths}
     fit = None
     if len(lengths) >= 2:
         fit = asdict(linear_fit(lengths, [per_length[str(n)]["mean"]

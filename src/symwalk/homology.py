@@ -52,22 +52,6 @@ class DivisorChain:
                                      % (prev, d))
                 prev = d
 
-    @classmethod
-    def of_group(cls, betti, torsion) -> DivisorChain:
-        """The chain of Z^betti + Z/t1 + ... + Z/tk, for torsion factors
-        t1 | ... | tk, each > 1."""
-        chain = cls(tuple(torsion))
-        if any(t <= 1 for t in chain.divisors):
-            raise ValueError("torsion factors must be > 1")
-        try:
-            betti = operator.index(betti)
-        except TypeError:
-            raise ValueError("betti must be an integer, got %r"
-                             % (betti,)) from None
-        if betti < 0:
-            raise ValueError("betti must be nonnegative")
-        return _unchecked(cls, divisors=chain.divisors + (0,) * betti)
-
     @property
     def betti(self) -> int:
         return self.divisors.count(0)
@@ -133,7 +117,8 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
                 break
             a = [list(col) for col in zip(*a)]  # clear the row as a column
         divisors.append(abs(a[top][top]))
-    # enforce the divisibility chain on the diagonal: diag(a, b) ~ diag(gcd, lcm)
+    # enforce the divisibility chain on the diagonal: diag(a, b) ~ diag(gcd, lcm);
+    # pass i leaves nz[i] | nz[j] for every j > i, so nz comes out ascending
     nz = [d for d in divisors if d != 0]
     zeros = len(divisors) - len(nz)
     for i in range(len(nz)):
@@ -141,7 +126,6 @@ def smith_normal_form(m: IntMatrix) -> DivisorChain:
             if nz[j] % nz[i] != 0:
                 g = gcd(nz[i], nz[j])
                 nz[i], nz[j] = g, nz[i] // g * nz[j]
-    nz.sort()
     return _unchecked(DivisorChain, divisors=tuple(nz) + (0,) * zeros)
 
 
@@ -172,11 +156,15 @@ def torsion_order(m: IntMatrix) -> TorsionOrder:
     return TorsionOrder(h.torsion_order, True, h.betti)
 
 
-def _fp_nullity(a: list, p: int) -> int:
-    """Nullity over F_p of the square rows of residues ``a``, eliminated in
-    place without division: a row below the pivot becomes (row * pivot -
-    f * top) mod p, a unit times itself plus a multiple of the pivot row."""
+def _fp_rank(a: list, p: int) -> int:
+    """Rank of H1 of the mapping torus with F_p coefficients, for the square
+    rows of residues ``a`` of its monodromy action A: 1 + dim ker(A - I)
+    over F_p.  I is subtracted and the rows eliminated in place, without
+    division: a row below the pivot becomes (row * pivot - f * top) mod p,
+    a unit times itself plus a multiple of the pivot row."""
     n = len(a)
+    for i, row in enumerate(a):
+        row[i] = (row[i] - 1) % p
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, n) if a[i][col]), None)
@@ -190,16 +178,12 @@ def _fp_nullity(a: list, p: int) -> int:
             if f:
                 a[i] = [(x * pivot - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
-    return n - rank
+    return 1 + n - rank
 
 
 def fp_rank(m: IntMatrix, p: int) -> int:
-    """Rank of H1 of the mapping torus with F_p coefficients:
-    1 + dim ker(m - I mod p)."""
-    a = mod_p(m, p).to_lists()
-    for i, row in enumerate(a):
-        row[i] = (row[i] - 1) % p
-    return 1 + _fp_nullity(a, p)
+    """``_fp_rank`` of m reduced mod p."""
+    return _fp_rank(mod_p(m, p).to_lists(), p)
 
 
 def heegaard_homology(m: IntMatrix) -> DivisorChain:

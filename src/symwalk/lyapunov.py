@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily
-from .walker import BYTE_BOUND, derive_seed, letters
+from .walker import derive_seed, letters
 
 RENORM_EVERY = 10
 BURN_IN = 100
@@ -84,11 +84,10 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                       dtype=float).transpose(0, 2, 1).copy()
     k, dim = gens_t.shape[:2]
     seeds = [derive_seed(seed, steps, t) for t in range(trials)]
-    # letters draws bytes below BYTE_BOUND letters, uint32 words from there
-    rows = np.empty((trials, BURN_IN + steps),
-                    np.uint8 if k < BYTE_BOUND else np.uint32)
+    # the buffer letters returns carries its own item type
+    rows = np.empty((trials, BURN_IN + steps), np.min_scalar_type(k - 1))
     for t, s in enumerate(seeds):
-        rows[t] = np.frombuffer(letters(s, k, BURN_IN + steps), rows.dtype)
+        rows[t] = memoryview(letters(s, k, BURN_IN + steps))
     basis = np.tile(np.eye(dim), (trials, 1, 1))
     logs = np.zeros((trials, dim))
     collapsed = np.zeros(trials, dtype=bool)

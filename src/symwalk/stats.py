@@ -10,25 +10,24 @@ periodicity included, not the uniform law on some group.
 ``fp_rank`` reduces mod p first, so the rank of a sample depends only on
 where its product lands in the closure G of the letters mod p.  One
 ``walk_closure`` per (family, p) serves both sides: its ``rank_law`` is
-the predicted law, and its ``rank`` walks a sample on G, one table lookup
-per letter, instead of building the exact product.  It reduces the
-letters through ``mod_p``, the package's one check that p is prime, and
-closes G through the ``walker``'s compiled walk, one one-letter call per
-pass and distinct generator.
+the predicted law, evolved on G by one gather per step, and its ``rank``
+walks a sample on G, one table lookup per letter, instead of building the
+exact product.  It reduces the letters through ``mod_p``, the package's
+one check that p is prime, closes G through the ``walker``'s compiled
+walk, one one-letter call per pass and distinct generator, and ranks each
+element of G by ``fp_rank``'s own ``_fp_rank``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .homology import _fp_nullity
+from .homology import _fp_rank
 from .intmat import mod_p
 from .walker import _family_kernels
 
@@ -171,23 +170,21 @@ class WalkClosure:
         to a coset or a subgroup of G is predicted as such.
         """
         # letters sharing a table move the walk alike: per distinct
-        # generator g, back[y] is the x with x·g = y, and its weight;
-        # counts are words of weighted letters, W^length in all
+        # generator g, back[y] is the x with x·g = y, stacked as often as
+        # its weight; counts are words of weighted letters, W^length in all
         weights = Counter(self.moves)
         common = math.gcd(*weights.values())
-        steps = [(np.argsort(move), w // common)
-                 for move, w in weights.items()]
+        backs = np.argsort([move for move, w in weights.items()
+                            for _ in range(w // common)], axis=1)
         counts = np.zeros(len(self.ranks), dtype=object)
         counts[0] = 1
         for _ in range(length):
-            counts = functools.reduce(operator.add, [
-                w * counts[back] if w > 1 else counts[back]
-                for back, w in steps])
+            counts = counts[backs].sum(axis=0)
         law = {}
         for rank, count in zip(self.ranks, counts):
             if count:
                 law[rank] = law.get(rank, 0) + count
-        words = (len(self.moves) // common) ** length     # W^length
+        words = len(backs) ** length                      # W^length
         return {rank: Fraction(c, words) for rank, c in sorted(law.items())}
 
 
@@ -222,6 +219,6 @@ def walk_closure(family, p: int):
             if len(group) > GROUP_ORDER_BOUND:
                 return None
     tables = {g: tuple(move) for g, move in moves.items()}
-    rows = ((np.array(group, dtype=object) - group[0]) % p).reshape(-1, n, n)
-    ranks = tuple(1 + _fp_nullity(a, p) for a in rows.tolist())   # G - I
+    ranks = tuple(_fp_rank([list(x[i:i + n]) for i in range(0, n * n, n)], p)
+                  for x in group)
     return WalkClosure(tuple(tables[g] for g in reduced), ranks)

@@ -29,25 +29,11 @@ def test_divisor_chain_invariants():
         DivisorChain((-1,))
 
 
-@pytest.mark.parametrize("divisors", [(2, 6.5), (2, 6.0), (2, "6"), (None,)])
+@pytest.mark.parametrize("divisors", [(2, 6.5), (2, 6.0), (2, "6"), (None,),
+                                      (2.5,), (6.9, 12)])
 def test_divisor_chain_rejects_non_integers(divisors):
     with pytest.raises(ValueError, match="divisors must be integers"):
         DivisorChain(divisors)
-
-
-@pytest.mark.parametrize("betti, torsion, message", [
-    (0, (1,), "must be > 1"),
-    (0, (2, 0), "must be > 1"),
-    (0, (2, 5), "divisibility chain violated"),
-    (0, (2.5,), "must be integers"),
-    (0, (6.9, 12), "must be integers"),
-    (-1, (), "betti must be nonnegative"),
-    (1.0, (), "betti must be an integer"),
-])
-def test_homology_descriptor_rejects(betti, torsion, message):
-    """A group described by its betti number and torsion factors."""
-    with pytest.raises(ValueError, match=message):
-        DivisorChain.of_group(betti, torsion)
 
 
 def test_divisor_chain_betti_and_torsion():
@@ -55,17 +41,6 @@ def test_divisor_chain_betti_and_torsion():
     assert (chain.betti, chain.torsion, chain.torsion_order) == (2, (2, 6), 12)
     chain = DivisorChain(())
     assert (chain.betti, chain.torsion, chain.torsion_order) == (0, (), 1)
-
-
-def test_divisor_chain_of_group():
-    chain = DivisorChain.of_group(np.int64(2), (np.int64(2), 6))
-    assert chain.divisors == (2, 6, 0, 0)
-    assert all(type(d) is int for d in chain.divisors)
-    assert DivisorChain.of_group(0, ()) == DivisorChain(())
-    for c in (DivisorChain((1, 1, 2, 6, 0, 0)), DivisorChain((1, 0)),
-              DivisorChain((3,))):
-        assert DivisorChain.of_group(c.betti, c.torsion).torsion == c.torsion
-        assert DivisorChain.of_group(c.betti, c.torsion).betti == c.betti
 
 
 def test_divisor_chain_stores_python_ints():

@@ -62,12 +62,26 @@ CASES = [
 ]
 
 
+def transvections(k):
+    """The first k of the 360 transvections I + t E_ij of dimension 10, by
+    t = 1, -1, 2, -2: distinct members that grow a frame slowly enough for
+    double precision."""
+    return GeneratorFamily(tuple(
+        IntMatrix(tuple(tuple(int(r == c) + t * ((r, c) == (i, j))
+                              for c in range(10)) for r in range(10)))
+        for t in (1, -1, 2, -2) for i in range(10) for j in range(10)
+        if i != j)[:k])
+
+
 @pytest.mark.parametrize("family, param, steps, trials, seed", CASES + [
     ("humphries", 4, 120, 3, 8),       # 8 x 8 frames: unrolled reductions
+    (transvections, 255, 150, 3, 9),   # the most letters drawn as bytes
+    (transvections, 256, 150, 3, 10),  # uint32 letters into uint8 rows
+    (transvections, 300, 150, 3, 11),  # uint16 rows
 ])
 def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
                                                    trials, seed):
-    fam = make_family(family, param)
+    fam = family(param) if callable(family) else make_family(family, param)
     est = estimate_exponents(fam, steps, trials, seed)
     ref = lyapunov_one_trial_at_a_time(fam, steps, trials, seed)
     assert est.exponents == ref.exponents

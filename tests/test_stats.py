@@ -9,7 +9,7 @@ from oracles import (aperiodic_sl2, aperiodic_sp4,
 from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
-from symwalk.homology import _fp_nullity, fp_rank
+from symwalk.homology import _fp_rank, fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (clt_diagnostics, empirical_rank_table,
                            linear_fit, summarize, total_variation,
@@ -200,9 +200,9 @@ def test_walk_closure_ranks_python_int_elements(monkeypatch, family, p):
 
     def recording(a, q):
         seen.append([list(row) for row in a])
-        return _fp_nullity(a, q)
+        return _fp_rank(a, q)
 
-    monkeypatch.setattr(stats, "_fp_nullity", recording)
+    monkeypatch.setattr(stats, "_fp_rank", recording)
     closure = walk_closure(family, p)
     assert len(seen) == len(closure.ranks) == (720 if p == 2 else 4)
     assert all(type(x) is int for a in seen for row in a for x in row)

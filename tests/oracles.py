@@ -13,9 +13,9 @@ from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 symmetric_closure)
 from symwalk.homology import DivisorChain, fp_rank
 from symwalk.intmat import IntMatrix, det, identity, mat_mul, mod_p
-from symwalk.lyapunov import (_COLLAPSE, BURN_IN, RENORM_EVERY,
-                              FrameCollapseError, LyapunovEstimate,
-                              _orthonormalize)
+from symwalk.lyapunov import (_COLLAPSE, _TABLE_ENTRIES, BURN_IN,
+                              RENORM_EVERY, FrameCollapseError,
+                              LyapunovEstimate, _orthonormalize)
 from symwalk.walker import Word, derive_seed, letters, word_product
 
 
@@ -335,20 +335,28 @@ def _estimate(per_trial):
 
 def _one_trial(gens_t, steps, trial, seed):
     rng = random.Random(seed)
-    k = len(gens_t)
-    basis = np.eye(len(gens_t[0]))[None]
+    k, dim = len(gens_t), len(gens_t[0])
+    s = max(d for d in range(1, RENORM_EVERY + 1) if RENORM_EVERY % d == 0
+            and (d == 1 or k ** d * dim * dim <= _TABLE_ENTRIES))
+    basis = np.eye(dim)[None]
     logs = 0.0
     done = -BURN_IN
     while done < steps:
         block = min(RENORM_EVERY, steps - done)
+        # a whole block in products of s letters, folded left to right
+        per = s if block == RENORM_EVERY else 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(block):
-                basis = basis @ gens_t[rng.randrange(k)]
+            for _ in range(block // per):
+                prod = gens_t[rng.randrange(k)]
+                for _ in range(per - 1):
+                    prod = prod @ gens_t[rng.randrange(k)]
+                basis = basis @ prod
             stretch = _orthonormalize(basis)[0]
             if np.any(stretch < _COLLAPSE):
                 raise FrameCollapseError(
-                    "lyapunov trial %d (seed %d): frame collapsed; reduce "
-                    "the renormalization period" % (trial, seed))
+                    "lyapunov trial %d (seed %d): frame collapsed; within %d "
+                    "letters the members stretch a frame past double "
+                    "precision" % (trial, seed, RENORM_EVERY))
             if done >= 0:
                 logs += np.log(stretch)
         done += block
@@ -359,7 +367,11 @@ def lyapunov_one_trial_at_a_time(family, steps, trials, seed):
     """The estimate with one (1, n, n) row frame per trial, re-orthonor-
     malized by the library's kernel in blocks of ``RENORM_EVERY`` letters
     from the start of the burn-in, trials run in order: the reference the
-    stacked ``estimate_exponents`` must equal."""
+    stacked ``estimate_exponents`` must equal.  A whole block moves the
+    frame by products of s letters, s the largest divisor of
+    ``RENORM_EVERY`` with k**s products of n x n within ``_TABLE_ENTRIES``
+    floats, each product folded left to right as it is drawn; the last
+    partial block moves it one letter at a time."""
     # row frames move by the transposed generators
     gens_t = [np.array(m.to_lists(), dtype=float).T.copy()
               for m in family.matrices]

@@ -8,8 +8,9 @@ from oracles import (lyapunov_lapack_reference, lyapunov_one_trial_at_a_time,
                      qr_positive)
 from symwalk.generators import (GeneratorFamily, humphries_symplectic,
                                 make_family)
-from symwalk.intmat import IntMatrix
+from symwalk.intmat import IntMatrix, mat_mul
 from symwalk.lyapunov import (FrameCollapseError, LyapunovEstimate,
+                              _letter_table, _letters_per_matmul,
                               _orthonormalize, estimate_exponents)
 from symwalk.stats import clt_diagnostics, normal_cdf
 from symwalk.walker import derive_seed
@@ -51,33 +52,66 @@ def test_overflowing_family_fails_loudly():
         estimate_exponents(fam, 100, 2, 1)
 
 
+# s is the number of letters per matmul (_letters_per_matmul)
 CASES = [
-    ("humphries", 2, 300, 5, 1),
-    ("humphries", 3, 200, 4, 2),
-    ("stanek", 2, 300, 5, 3),
-    ("hua-reiner", 3, 333, 7, 4),      # odd dimension, steps % 10 != 0
-    ("humphries", 2, 500, 1, 5),
-    ("humphries", 2, 100, 3, 6),       # the minimum, as long as the burn-in
-    ("stanek", 2, 101, 3, 7),          # a last block of one letter
+    ("humphries", 2, 300, 5, 1),       # s = 5
+    ("humphries", 3, 200, 4, 2),       # s = 2
+    ("stanek", 2, 300, 5, 3),          # s = 5
+    ("hua-reiner", 3, 333, 7, 4),      # s = 10, odd dimension, a last
+                                       # block of three letters
+    ("humphries", 2, 500, 1, 5),       # s = 5
+    ("humphries", 2, 100, 3, 6),       # s = 5, the minimum, as long as
+                                       # the burn-in
+    ("stanek", 2, 101, 3, 7),          # s = 5, a last block of one letter
 ]
 
 
-def transvections(k):
-    """The first k of the 360 transvections I + t E_ij of dimension 10, by
-    t = 1, -1, 2, -2: distinct members that grow a frame slowly enough for
-    double precision."""
+def transvections(k, n=10):
+    """The first k of the 4n(n - 1) transvections I + t E_ij of dimension
+    n, by t = 1, -1, 2, -2: distinct members that grow a frame slowly
+    enough for double precision."""
     return GeneratorFamily(tuple(
         IntMatrix(tuple(tuple(int(r == c) + t * ((r, c) == (i, j))
-                              for c in range(10)) for r in range(10)))
-        for t in (1, -1, 2, -2) for i in range(10) for j in range(10)
+                              for c in range(n)) for r in range(n)))
+        for t in (1, -1, 2, -2) for i in range(n) for j in range(n)
         if i != j)[:k])
 
 
+def transvections16(k):
+    """The first k transvections of dimension 16: past 256 of them, k
+    members alone hold more than 2^16 floats."""
+    return transvections(k, 16)
+
+
+@pytest.mark.parametrize("family, param, s", [
+    ("hua-reiner", 3, 10), ("humphries", 2, 5), ("humphries", 3, 2)])
+def test_letter_table_is_the_exact_products(family, param, s):
+    # entry i is the row-convention product of the letters a1..as, the
+    # base-k digits of i: the transpose of G[as] ... G[a1]
+    members = make_family(family, param).matrices
+    k, n = len(members), members[0].dim
+    assert _letters_per_matmul(k, n) == s
+    gens_t = np.array([m.to_lists() for m in members],
+                      dtype=float).transpose(0, 2, 1).copy()
+    table = _letter_table(gens_t, s)
+    assert table.shape == (k ** s, n, n)
+    for i, entry in enumerate(table):
+        digits = [i // k ** (s - 1 - j) % k for j in range(s)]
+        exact = members[digits[-1]]
+        for a in reversed(digits[:-1]):
+            exact = mat_mul(exact, members[a])
+        assert (entry == np.array(exact.to_lists(), dtype=float).T).all()
+
+
 @pytest.mark.parametrize("family, param, steps, trials, seed", CASES + [
-    ("humphries", 4, 120, 3, 8),       # 8 x 8 frames: unrolled reductions
-    (transvections, 255, 150, 3, 9),   # the most letters drawn as bytes
-    (transvections, 256, 150, 3, 10),  # uint32 letters into uint8 rows
-    (transvections, 300, 150, 3, 11),  # uint16 rows
+    ("humphries", 4, 120, 3, 8),       # s = 2, 8 x 8 frames: unrolled
+                                       # reductions
+    (transvections, 255, 150, 3, 9),   # s = 1, the most letters drawn as
+                                       # bytes
+    (transvections, 256, 150, 3, 10),  # s = 1, uint32 letters into uint8
+                                       # rows
+    (transvections, 300, 150, 3, 11),  # s = 1, uint16 rows
+    (transvections16, 300, 150, 3, 12),  # k n^2 > 2^16, s = 1
 ])
 def test_stacked_trials_equal_one_trial_at_a_time(family, param, steps,
                                                    trials, seed):

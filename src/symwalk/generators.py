@@ -18,18 +18,24 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix, det, inverse
 
+LETTER_BOUND = 1 << 8       # a letter is one byte: at most 255 members
+
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """An ordered list of integer matrix generators, each of determinant 1.
-    It is plain, picklable data; ``walker`` compiles its product walk, one
-    function for all members, from ``matrices`` in each process."""
+    """An ordered list of at most 255 integer matrix generators, each of
+    determinant 1, so that a letter is one byte.  It is plain, picklable
+    data; ``walker`` compiles its product walk, one function for all
+    members, from ``matrices`` in each process."""
 
     matrices: tuple
 
     def __post_init__(self):
         if not self.matrices:
             raise ValueError("a generator family must be nonempty")
+        if len(self.matrices) >= LETTER_BOUND:
+            raise ValueError("a generator family holds at most %d members, "
+                             "got %d" % (LETTER_BOUND - 1, len(self.matrices)))
         dim = self.matrices[0].dim
         if not dim:
             raise ValueError("generators must have dimension >= 1, got 0")

@@ -111,10 +111,9 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
                       dtype=float).transpose(0, 2, 1).copy()
     k, dim = gens_t.shape[:2]
     seeds = [derive_seed(seed, steps, t) for t in range(trials)]
-    # the buffer letters returns carries its own item type
-    rows = np.empty((trials, BURN_IN + steps), np.min_scalar_type(k - 1))
-    for t, trial_seed in enumerate(seeds):
-        rows[t] = memoryview(letters(trial_seed, k, BURN_IN + steps))
+    rows = np.frombuffer(b"".join(letters(trial_seed, k, BURN_IN + steps)
+                                  for trial_seed in seeds),
+                         np.uint8).reshape(trials, -1)
     # BURN_IN is a multiple of RENORM_EVERY: blocks start at the first letter
     s = _letters_per_matmul(k, dim)
     whole = rows.shape[1] // RENORM_EVERY * RENORM_EVERY

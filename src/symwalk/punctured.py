@@ -15,12 +15,10 @@ from .stats import LinearFit, linear_fit
 from .walker import LETTER_BOUND, derive_seed, letters
 
 
-def longest_run_in(letters, letter: int) -> int:
-    """Maximal length of a consecutive block of the given letter in a
-    sequence of ints, ``bytes`` included."""
-    if isinstance(letters, bytes):
-        letters = np.frombuffer(letters, np.uint8)
-    where = np.flatnonzero(np.asarray(letters) == letter)
+def longest_run_in(letters: bytes, letter: int) -> int:
+    """Maximal length of a consecutive block of the given letter in
+    ``letters``."""
+    where = np.flatnonzero(np.frombuffer(letters, np.uint8) == letter)
     # a run ends wherever the next position of the letter is not adjacent;
     # with no such position the one "run" is empty
     ends = np.concatenate(([-1], np.flatnonzero(np.diff(where) != 1),
@@ -41,7 +39,7 @@ def run_scaling_experiment(alphabet_size: int, lengths, samples: int,
     lengths = list(lengths)
     if (not 2 <= alphabet_size < LETTER_BOUND or samples < 1 or not lengths
             or min(lengths) < 1):
-        raise ValueError("punctured needs 2 <= alphabet < 2**32, samples >= 1 "
+        raise ValueError("punctured needs 2 <= alphabet <= 255, samples >= 1 "
                          "and lengths >= 1, got alphabet %d, samples %d and "
                          "lengths %r" % (alphabet_size, samples, lengths))
     if len(set(lengths)) < len(lengths):

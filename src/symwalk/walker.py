@@ -12,17 +12,17 @@ in bulk from the raw MT19937 output (Matsumoto--Nishimura 1998) that
 ``randrange`` reads.  This rests on CPython's ``_randbelow``, checked by
 CI on Python 3.10, 3.11, 3.12 and 3.13: ``randrange(k)`` is
 ``getrandbits(b)`` with ``b = k.bit_length()``, redrawn while the result
-is ``>= k``; for ``b <= 32`` that is the top ``b`` bits of one 32-bit
+is ``>= k``; for ``b <= 8`` that is the top ``b`` bits of one 32-bit
 output, and ``getrandbits(32*m)`` packs ``m`` consecutive outputs
 little-endian.  ``tests/test_walker.py`` pins the replay against
 ``randrange`` itself, so a change to ``_randbelow`` fails there instead of
-silently changing every CSV.  For ``k <= 255`` the ``b`` bits lie in the
-top byte of each output, every fourth byte of the draw: one
-``bytes.translate`` shifts those bytes down and drops the ones ``>= k``
-in C, and the letters stay ``bytes`` from there on, as ``Word.letters``,
-through the compiled walk and ``stats.WalkClosure.rank``, into the
-Lyapunov rows (``np.frombuffer``) and the longest runs.  From 256 letters
-(9 bits) on, numpy filters the 32-bit outputs into a ``uint32`` array.
+silently changing every CSV.  A family or alphabet holds at most 255
+letters, so the ``b`` bits lie in the top byte of each output, every
+fourth byte of the draw: one ``bytes.translate`` shifts those bytes down
+and drops the ones ``>= k`` in C, and the letters stay ``bytes`` from
+there on, as ``Word.letters``, through the compiled walk and
+``stats.WalkClosure.rank``, into the Lyapunov rows (``np.frombuffer``) and
+the longest runs.
 
 Products apply each letter through its generator's column action: a letter
 rebuilds only the columns where its generator differs from the identity,
@@ -52,8 +52,8 @@ first read and kept, so a record that needs only the letters
 (``modp-rank`` within its group bound) never builds it.  The words
 ``sample_word`` draws and the products ``word_product`` builds are valid
 by construction and skip their checks (``intmat._unchecked``); a ``Word``
-a caller builds is checked, and its letters are held as ``sample_word``
-holds them, ``bytes`` below ``BYTE_BOUND`` members.
+a caller builds is checked, and its letters are held as ``bytes``, as
+``sample_word`` holds them.
 """
 
 from __future__ import annotations
@@ -64,17 +64,14 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
-from .generators import GeneratorFamily, make_family, symmetric_closure
+from .generators import (LETTER_BOUND, GeneratorFamily, make_family,
+                         symmetric_closure)
 from .intmat import IntMatrix, _unchecked, identity
 
 POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
-LETTER_BOUND = 1 << 32      # letters replays one 32-bit MT19937 word per draw
-BYTE_BOUND = 1 << 8         # below it, letters filters and returns bytes
 _BLOCK = 128                # word_product re-packs its columns this often
 
 
@@ -95,68 +92,46 @@ def derive_seed(master_seed: int, length: int, index: int) -> int:
 
 @lru_cache(maxsize=None)
 def _byte_filter(k: int) -> tuple:
-    """``(table, drop)`` for ``bytes.translate`` at ``k < BYTE_BOUND``
-    letters: ``table`` keeps the top ``k.bit_length()`` bits of a byte, and
-    ``drop`` holds the bytes whose top bits are ``>= k``."""
+    """``(table, drop)`` for ``bytes.translate`` at ``k`` letters:
+    ``table`` keeps the top ``k.bit_length()`` bits of a byte, and ``drop``
+    holds the bytes whose top bits are ``>= k``."""
     shift = 8 - k.bit_length()
     table = bytes(b >> shift for b in range(256))
     return table, bytes(b for b in range(256) if table[b] >= k)
 
 
-def letters(seed: int, k: int, length: int):
+def letters(seed: int, k: int, length: int) -> bytes:
     """The first ``length`` letters of the uniform stream over ``k``
     letters seeded by ``seed``: ``random.Random(seed).randrange(k)`` each.
 
     The raw 32-bit MT19937 words are drawn in bulk and each keeps its top
-    ``k.bit_length()`` bits.  For ``k < BYTE_BOUND`` those bits lie in the
-    word's top byte, so the filter is one ``bytes.translate`` of the top
-    bytes and the letters come back as ``bytes``; from ``BYTE_BOUND`` on,
-    numpy filters the words and they come back as a ``uint32`` array.  The
-    replay is exact only for ``1 <= k < 2**32``; other ``k`` raise
-    ``ValueError``."""
+    ``k.bit_length()`` bits, which lie in the word's top byte: the filter
+    is one ``bytes.translate`` of the top bytes.  ``k`` outside 1..255
+    raises ``ValueError``."""
     if not 1 <= k < LETTER_BOUND:
-        raise ValueError("letters needs 1 <= k < 2**32, got k = %d" % k)
+        raise ValueError("letters needs 1 <= k <= 255, got k = %d" % k)
     rng = random.Random(seed)
     bits = k.bit_length()
-
-    def draw(have):
+    table, drop = _byte_filter(k)
+    out = b""
+    while len(out) < length:
         # a word is kept with probability k / 2**bits: draw the expected
         # number of words still needed, plus a margin; short, draw again
-        m = ((length - have) << bits) // k + 64
-        return rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-
-    if k < BYTE_BOUND:
-        table, drop = _byte_filter(k)
-        out = b""
-        while len(out) < length:    # the top byte of each little-endian word
-            out += draw(len(out))[3::4].translate(table, drop)
-        return out[:length]
-    out = np.empty(0, np.uint32)
-    while out.size < length:
-        words = np.frombuffer(draw(out.size), "<u4") >> (32 - bits)
-        out = np.concatenate((out, words[words < k]))
+        m = ((length - len(out)) << bits) // k + 64
+        draw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        out += draw[3::4].translate(table, drop)   # each word's top byte
     return out[:length]
-
-
-def _held(k: int, seq):
-    """``seq``, a sequence of letters over ``k``, as ``Word.letters`` holds
-    it: ``bytes`` for ``k < BYTE_BOUND``, as ``letters`` draws it, else a
-    tuple of ints."""
-    if k >= BYTE_BOUND:
-        return tuple(map(int, seq))
-    # bytes(seq) of a numpy array would copy its buffer, not its letters
-    return seq if type(seq) is bytes else bytes(map(operator.index, seq))
 
 
 @dataclass(frozen=True)
 class Word:
     """A sequence of generator indices over a family, and its exact
     ``product``, computed on first read and kept.  Whatever sequence of
-    ints it is built from, ``letters`` is held as ``sample_word`` draws it
-    (``_held``), so words with equal letters are equal."""
+    ints it is built from, ``letters`` is held as ``bytes``, as
+    ``sample_word`` draws it, so words with equal letters are equal."""
 
     family: GeneratorFamily
-    letters: bytes          # a tuple of ints from BYTE_BOUND members on
+    letters: bytes
 
     def __post_init__(self):
         k = len(self.family)
@@ -168,7 +143,10 @@ class Word:
             if not ok:
                 raise ValueError("letter %d out of range for family of %d"
                                  % (a, k))
-        object.__setattr__(self, "letters", _held(k, self.letters))
+        seq = self.letters
+        # bytes(seq) of a numpy array would copy its buffer, not its letters
+        object.__setattr__(self, "letters", seq if type(seq) is bytes
+                           else bytes(map(operator.index, seq)))
 
     @property
     def length(self) -> int:
@@ -223,9 +201,8 @@ def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:
     """Uniform i.i.d. letters over the family, deterministic in the seed."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    k = len(family)
     return _unchecked(Word, family=family,
-                      letters=_held(k, letters(seed, k, length)))
+                      letters=letters(seed, len(family), length))
 
 
 def _pack(col, w: int) -> int:

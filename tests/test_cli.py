@@ -399,6 +399,7 @@ def test_json_format_output(tmp_path, capsys):
     (["torsion-stats", "--samples", "0"], "samples must be >= 1, got 0"),
     (["heegaard", "--lengths", "0:10"],
      "lengths must start >= 1 with step >= 1, got 0:10:1"),
+    (["punctured", "--alphabet", "256"], "alphabet 256"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
     code = main(argv + ["--out", str(tmp_path)])

@@ -208,6 +208,13 @@ def test_family_rejects_dimension_zero():
         GeneratorFamily((IntMatrix(()),))
 
 
+def test_family_holds_at_most_255_members():
+    # a letter is one byte; the count is checked before any member's det
+    assert len(GeneratorFamily((identity(1),) * 255)) == 255
+    with pytest.raises(ValueError, match="at most 255 members, got 256$"):
+        GeneratorFamily((identity(1),) * 256)
+
+
 def test_family_rejects_mixed_dims():
     with pytest.raises(ValueError):
         GeneratorFamily((identity(2), identity(4)))

@@ -1,5 +1,5 @@
-"""Every import in the package and its tests is used, and importing the
-CLI loads no process pool.
+"""Every import in the package and its tests is used, importing the CLI
+loads no process pool, and importing the package loads no numpy.
 
 An import counts as used when its bound name is read anywhere in the
 module.  ``__init__.py`` files are exempt (their imports are the package's
@@ -50,13 +50,24 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_the_cli_imports_no_process_pool():
-    # run_batch imports the pool only when it starts one
-    code = ("import sys, symwalk.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('concurrent', 'multiprocessing'))))")
+def loaded_after(statement, prefixes):
+    """The modules starting with one of ``prefixes`` that a fresh
+    interpreter holds after running ``statement``."""
+    code = ("import sys; %s; print(sorted(m for m in sys.modules "
+            "if m.startswith(%r)))" % (statement, prefixes))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_the_cli_imports_no_process_pool():
+    # run_batch imports the pool only when it starts one
+    assert loaded_after("import symwalk.cli",
+                        ("concurrent", "multiprocessing")) == "[]"
+
+
+def test_the_package_imports_no_numpy():
+    # letters are bytes: no module the package imports needs numpy
+    assert loaded_after("import symwalk", ("numpy",)) == "[]"

@@ -8,9 +8,9 @@ version: the timestamp is the only field that changes (lyapunov aside,
 whose floats depend on the BLAS and SIMD kernels of the numpy build).
 
 Every subcommand is one entry of ``COMMANDS``: its handler, its config
-defaults, its flags and, for row-shaped output, its column schema.  The
-schema alone drives the CSV header and rows and the ``--format json``
-records.
+defaults and its flags.  Every handler returns a column schema with its
+rows, and the schema alone drives the CSV header and rows and the
+``--format json`` records.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal invariant
 violation (``symwalk --debug <cmd>`` prints its traceback first).
@@ -114,6 +114,7 @@ HEEGAARD_COLUMNS = _KEY + (("log_h1", FLOAT), ("betti", "%d"),
 LYAPUNOV_COLUMNS = (("exponent_index", "%d"), ("value", FLOAT),
                     ("standard_error", FLOAT))
 PUNCTURED_COLUMNS = (("length", "%d"), ("mean_longest_run", FLOAT))
+SNF_COLUMNS = (("divisor", "%d"),)
 
 
 def render(columns, rows, fmt_kind="csv") -> str:
@@ -121,13 +122,10 @@ def render(columns, rows, fmt_kind="csv") -> str:
     column order) under a column schema."""
     names = [name for name, _ in columns]
     if fmt_kind == "json":
-        return _json([dict(zip(names, row)) for row in rows])
+        return json.dumps([dict(zip(names, row)) for row in rows],
+                          indent=2) + "\n"
     line = ",".join(f for _, f in columns) + "\n"
     return ",".join(names) + "\n" + "".join(line % row for row in rows)
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _column_by_length(rows, columns, name):
@@ -153,9 +151,8 @@ def _length_summaries(groups):
 
 # --- subcommands --------------------------------------------------------------
 #
-# A handler takes the merged config and returns (data, manifest fields).
-# For a command with a column schema, data is the list of rows; otherwise
-# it is the pair (CSV text, JSON document).
+# A handler takes the merged config and returns (column schema, rows,
+# manifest fields).
 
 def _batch_config(cfg):
     """The batch of a batch subcommand's config and the family it walks
@@ -179,7 +176,7 @@ def cmd_torsion_stats(cfg):
     batch, _ = _batch_config(cfg)
     rows = [(length, j) + record for length, j, record in
             run_batch(batch, _torsion_record, threads=threads_from_env())]
-    return rows, _length_summaries(
+    return TORSION_COLUMNS, rows, _length_summaries(
         _column_by_length(rows, TORSION_COLUMNS, "log_torsion"))
 
 
@@ -213,7 +210,8 @@ def cmd_modp_rank(cfg):
         if law:
             entry["total_variation"] = total_variation(table, law)
         tables[str(p)] = entry
-    return rows, {"rank_tables_at_length": top, "rank_tables": tables}
+    return MODP_COLUMNS, rows, {"rank_tables_at_length": top,
+                                "rank_tables": tables}
 
 
 def cmd_heegaard(cfg):
@@ -228,9 +226,9 @@ def cmd_heegaard(cfg):
     diagnostics = None
     if len(top_samples) >= 30 and len(set(top_samples)) > 1:
         diagnostics = asdict(clt_diagnostics(top_samples))
-    return rows, dict(_length_summaries(groups), genus=fam.dim // 2,
-                      clt_diagnostics_at_length=top,
-                      clt_diagnostics=diagnostics)
+    return HEEGAARD_COLUMNS, rows, dict(
+        _length_summaries(groups), genus=fam.dim // 2,
+        clt_diagnostics_at_length=top, clt_diagnostics=diagnostics)
 
 
 def cmd_lyapunov(cfg):
@@ -245,11 +243,11 @@ def cmd_lyapunov(cfg):
         raise ConfigError(str(exc))
     rows = [(i, e, se) for i, (e, se) in
             enumerate(zip(est.exponents, est.standard_error))]
-    return rows, {"exponents": list(est.exponents),
-                  "standard_error": list(est.standard_error),
-                  "positive_sum": est.positive_sum,
-                  "trials": cfg["trials"],
-                  "steps_per_trial": cfg["steps"]}
+    return LYAPUNOV_COLUMNS, rows, {
+        "exponents": list(est.exponents),
+        "standard_error": list(est.standard_error),
+        "positive_sum": est.positive_sum, "trials": cfg["trials"],
+        "steps_per_trial": cfg["steps"]}
 
 
 def cmd_prescribe(cfg):
@@ -257,9 +255,6 @@ def cmd_prescribe(cfg):
         raise ConfigError("prescribe needs a divisor chain")
     try:
         chain = DivisorChain(tuple(cfg["chain"]))
-    except ValueError as exc:
-        raise ConfigError("invalid chain: %s" % exc)
-    try:
         m = prescribe_symplectic(chain)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -267,13 +262,9 @@ def cmd_prescribe(cfg):
         raise AssertionError("prescription verification failed")
     columns = (("row", "%d"),) + tuple(("c%d" % j, "%d")
                                        for j in range(m.dim))
-    csv_text = render(columns, [(i,) + row for i, row in enumerate(m.rows)])
-    matrix = m.to_lists()
-    return (csv_text, {"matrix": matrix, "verification": True}), {
-        "matrix": matrix,
-        "verification": True,
-        "snf_of_m_minus_i": list(chain.divisors),
-    }
+    return columns, [(i,) + row for i, row in enumerate(m.rows)], {
+        "matrix": m.to_lists(), "verification": True,
+        "snf_of_m_minus_i": list(chain.divisors)}
 
 
 def cmd_punctured(cfg):
@@ -283,7 +274,7 @@ def cmd_punctured(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc))
     fit = asdict(result.fit) if result.fit is not None else None
-    return list(result.rows), {"fit_vs_log_length": fit}
+    return PUNCTURED_COLUMNS, list(result.rows), {"fit_vs_log_length": fit}
 
 
 def read_matrix_file(path: str) -> IntMatrix:
@@ -294,16 +285,18 @@ def read_matrix_file(path: str) -> IntMatrix:
         except UnicodeDecodeError as exc:
             raise ConfigError("matrix file %s is not text: %s" % (path, exc))
     if not tokens:
-        raise ConfigError("empty matrix file")
+        raise ConfigError("matrix file %s is empty" % path)
     try:
         n = int(tokens[0])
         vals = [int(t) for t in tokens[1:]]
     except ValueError:
-        raise ConfigError("matrix file must contain integers")
+        raise ConfigError("matrix file %s must contain integers" % path)
     if n < 0:
-        raise ConfigError("matrix dimension must be >= 0, got %d" % n)
+        raise ConfigError("matrix file %s: dimension must be >= 0, got %d"
+                          % (path, n))
     if len(vals) != n * n:
-        raise ConfigError("expected %d entries, got %d" % (n * n, len(vals)))
+        raise ConfigError("matrix file %s: expected %d entries, got %d"
+                          % (path, n * n, len(vals)))
     return IntMatrix(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
@@ -312,8 +305,7 @@ def cmd_snf(cfg):
         raise ConfigError("snf needs a matrix file")
     divisors = list(smith_normal_form(
         read_matrix_file(cfg["matrix_file"])).divisors)
-    csv_text = render((("divisor", "%d"),), [(d,) for d in divisors])
-    return (csv_text, {"divisors": divisors}), {"divisors": divisors}
+    return SNF_COLUMNS, [(d,) for d in divisors], {"divisors": divisors}
 
 
 # --- the command table ----------------------------------------------------------
@@ -351,7 +343,6 @@ class Command:
     handler: object
     defaults: dict
     flags: tuple
-    columns: tuple = None       # None: the handler renders its own output
 
 
 COMMANDS = {
@@ -359,27 +350,25 @@ COMMANDS = {
         cmd_torsion_stats,
         {"family": "humphries", "param": 2, "lengths": [100, 500, 50],
          "samples": 200, "seed": 1, "mode": POSITIVE},
-        _BATCH_FLAGS, TORSION_COLUMNS),
+        _BATCH_FLAGS),
     "modp-rank": Command(
         cmd_modp_rank,
         {"family": "humphries", "param": 2, "lengths": [500, 500, 1],
          "samples": 2000, "seed": 1, "mode": SYMMETRIC, "primes": [2]},
         _BATCH_FLAGS + (_flag(("--primes",), "primes", _ints,
-                              help="comma-separated primes"),),
-        MODP_COLUMNS),
+                              help="comma-separated primes"),)),
     "heegaard": Command(
         cmd_heegaard,
         {"family": "humphries", "param": 2, "lengths": [100, 500, 100],
          "samples": 300, "seed": 1, "mode": POSITIVE},
-        _BATCH_FLAGS, HEEGAARD_COLUMNS),
+        _BATCH_FLAGS),
     "lyapunov": Command(
         cmd_lyapunov,
         {"family": "humphries", "param": 2, "steps": 2000, "trials": 100,
          "seed": 1},
         _FAMILY_FLAGS + (_flag(("--steps",), "steps", type=int),
                          _flag(("--trials",), "trials", type=int),
-                         _flag(("--seed",), "seed", type=int)),
-        LYAPUNOV_COLUMNS),
+                         _flag(("--seed",), "seed", type=int))),
     "prescribe": Command(
         cmd_prescribe, {},
         (_flag(("chain",), "chain", _ints, nargs="?",
@@ -392,8 +381,7 @@ COMMANDS = {
          _flag(("--lengths",), "lengths", _ints,
                help="comma-separated word lengths"),
          _flag(("--samples",), "samples", type=int),
-         _flag(("--seed",), "seed", type=int)),
-        PUNCTURED_COLUMNS),
+         _flag(("--seed",), "seed", type=int))),
     "snf": Command(
         cmd_snf, {}, (_flag(("matrix_file",), "matrix_file", nargs="?"),)),
 }
@@ -500,13 +488,8 @@ def _manifest(command, config, extra):
 def run_command(name, cfg, out_dir, fmt_kind="csv"):
     """Run one subcommand and write its data file and manifest; returns
     their paths."""
-    command = COMMANDS[name]
-    data, extra = command.handler(cfg)
-    if command.columns is not None:
-        text = render(command.columns, data, fmt_kind)
-    else:
-        csv_text, doc = data
-        text = csv_text if fmt_kind == "csv" else _json(doc)
+    columns, rows, extra = COMMANDS[name].handler(cfg)
+    text = render(columns, rows, fmt_kind)
     manifest = _manifest(name, cfg, extra)
     stem = os.path.join(out_dir, name.replace("-", "_"))
     os.makedirs(out_dir, exist_ok=True)

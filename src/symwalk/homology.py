@@ -41,12 +41,14 @@ class DivisorChain:
         prev = None
         for d in ds:
             if d < 0:
-                raise ValueError("divisors must be nonnegative")
+                raise ValueError("divisors must be nonnegative, got %r"
+                                 % (ds,))
             if d == 0:
                 seen_zero = True
             else:
                 if seen_zero:
-                    raise ValueError("zeros must come last")
+                    raise ValueError("zeros must come last, got %r"
+                                     % (ds,))
                 if prev is not None and d % prev != 0:
                     raise ValueError("divisibility chain violated: %d | %d"
                                      % (prev, d))

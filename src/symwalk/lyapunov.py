@@ -4,7 +4,9 @@ This is the one deliberately inexact corner of the codebase: exponents
 are drifts of log singular values, estimated by evolving an orthonormal
 frame in double precision with periodic re-orthonormalization.  Exact
 arithmetic lives in the homology pipeline; agreement between the two is
-checked by the acceptance suite, not assumed here.
+checked by the acceptance suite, not assumed here.  numpy evolves the
+frames; each exponent's mean and standard error over the trials come from
+``stats.summarize``.
 
 Each trial draws its letters from its own seeded stream
 (``walker.letters``), so the trials can evolve together as one stack and
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily
+from .stats import summarize
 from .walker import derive_seed, letters
 
 RENORM_EVERY = 10
@@ -38,8 +41,8 @@ class FrameCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    exponents: tuple            # descending, nats per step
-    standard_error: tuple
+    exponents: tuple            # descending means, nats per step
+    standard_error: tuple       # sqrt(variance / trials) of each
 
     @property
     def positive_sum(self) -> float:
@@ -153,11 +156,10 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
         raise FloatingPointError(
             "lyapunov trial %d (seed %d) has non-finite log stretches; "
             "the generators overflow double precision" % (t, seeds[t]))
-    mean = per_trial.mean(axis=0)
-    stderr = (per_trial.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
-              else np.zeros_like(mean))
-    order = np.argsort(-mean)
+    summaries = sorted(map(summarize, per_trial.T.tolist()),
+                       key=lambda s: s.mean, reverse=True)
     return LyapunovEstimate(
-        exponents=tuple(float(x) for x in mean[order]),
-        standard_error=tuple(float(x) for x in stderr[order]))
+        exponents=tuple(s.mean for s in summaries),
+        standard_error=tuple(math.sqrt(s.variance / trials)
+                             for s in summaries))
 

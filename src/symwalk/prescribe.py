@@ -28,9 +28,10 @@ def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
     if not ds:
         raise ValueError("chain must be nonempty")
     if len(ds) % 2 != 0:
-        raise ValueError("chain length must be even")
+        raise ValueError("chain length must be even, got %r" % (ds,))
     if any(d == 0 for d in ds):
-        raise ValueError("chain entries must be positive")
+        raise ValueError("chain entries must be positive, got %r"
+                         % (ds,))
     g = len(ds) // 2
     rows = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
     for i in range(g):

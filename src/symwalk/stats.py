@@ -1,5 +1,5 @@
-"""Every statistic the experiments report: per-length summaries (count,
-mean, variance), OLS regression, CLT diagnostics, empirical rank tables
+"""Every statistic the experiments report: summaries (count, mean,
+variance) per word length and per Lyapunov exponent, OLS regression, CLT diagnostics, empirical rank tables
 and their total variation, and the exact law of mod-p ranks under a walk.
 A deviation is squared as ``d * d`` throughout (``** 2`` calls libm's
 ``pow``), so ``summarize`` and ``clt_diagnostics`` agree on a variance.

@@ -321,16 +321,22 @@ def lyapunov_lapack_reference(family, steps, trials, seed):
 
 
 def _estimate(per_trial):
-    mean = per_trial.mean(axis=0)
+    """Each exponent's mean over the (trials, n) per-trial values and its
+    standard error sqrt(variance / trials), both from correctly rounded
+    sums (``math.fsum``), in descending order of the means; one trial has
+    standard error 0."""
     trials = len(per_trial)
-    if trials > 1:
-        stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        stderr = np.zeros_like(mean)
-    order = np.argsort(-mean)
-    return LyapunovEstimate(
-        exponents=tuple(float(x) for x in mean[order]),
-        standard_error=tuple(float(x) for x in stderr[order]))
+    pairs = []
+    for values in per_trial.T.tolist():
+        mean = math.fsum(values) / trials
+        variance = 0.0
+        if trials > 1:
+            variance = math.fsum((x - mean) * (x - mean)
+                                 for x in values) / (trials - 1)
+        pairs.append((mean, math.sqrt(variance / trials)))
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    return LyapunovEstimate(exponents=tuple(m for m, _ in pairs),
+                            standard_error=tuple(se for _, se in pairs))
 
 
 def _one_trial(gens_t, steps, trial, seed):

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -367,6 +366,46 @@ def test_json_format_output(tmp_path, capsys):
                                "betti", "singular"}
 
 
+def _field(text):
+    """A CSV field as the number it renders: an int for ``%d``, a float
+    for ``%.17g``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion-stats", "--lengths", "5:10:5", "--samples", "2"],
+    ["modp-rank", "--lengths", "5", "--samples", "3", "--primes", "2,3"],
+    ["heegaard", "--lengths", "5:10:5", "--samples", "2"],
+    ["lyapunov", "--steps", "100", "--trials", "2"],
+    ["punctured", "--lengths", "64,128", "--samples", "2"],
+    ["prescribe", "2,6"],
+    ["snf"],
+], ids=lambda argv: argv[0])
+def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
+    if argv == ["snf"]:
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2\n-14 2\n-20 2\n")
+        argv = argv + [str(matrix)]
+    data = {}
+    for kind in ("csv", "json"):
+        code, out = _run(capsys, argv + ["--format", kind,
+                                         "--out", str(tmp_path / kind)])
+        assert code == 0
+        data[kind] = Path(out[0]).read_text()
+    header, *lines = data["csv"].splitlines()
+    records = json.loads(data["json"])
+    assert len(records) == len(lines) > 0
+    for record, line in zip(records, lines):
+        assert list(record) == header.split(",")
+        for value, text in zip(record.values(), line.split(",")):
+            # the torsion ``singular`` column is a JSON boolean
+            assert isinstance(value, (int, float))
+            assert value == _field(text)
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["modp-rank", "--primes", "x"], "'x'"),
     (["punctured", "--lengths", "x"], "'x'"),
@@ -400,14 +439,35 @@ def test_json_format_output(tmp_path, capsys):
     (["heegaard", "--lengths", "0:10"],
      "lengths must start >= 1 with step >= 1, got 0:10:1"),
     (["punctured", "--alphabet", "256"], "alphabet 256"),
+    (["prescribe", "2"], "chain length must be even, got (2,)"),
+    (["prescribe", "0,0"], "chain entries must be positive, got (0, 0)"),
+    (["prescribe", "2,0"], "chain entries must be positive, got (2, 0)"),
+    (["prescribe", "--config", b'{"chain": [-1, 2]}'],
+     "divisors must be nonnegative, got (-1, 2)"),
+    (["prescribe", "--config", b'{"chain": [0, 2]}'],
+     "zeros must come last, got (0, 2)"),
+    (["snf", b""], "matrix file {} is empty"),
+    (["snf", b"2\n1 x 3 4\n"], "matrix file {} must contain integers"),
+    (["snf", b"2\n1 2 3\n"], "matrix file {}: expected 4 entries, got 3"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
-    code = main(argv + ["--out", str(tmp_path)])
+    # a bytes item is written to a file and stands for the file's path,
+    # which the message must name where ``bad`` has {}
+    out = tmp_path / "out"
+    args, paths = [], []
+    for i, item in enumerate(argv):
+        if isinstance(item, bytes):
+            path = tmp_path / ("arg%d" % i)
+            path.write_bytes(item)
+            item = str(path)
+            paths.append(item)
+        args.append(item)
+    code = main(args + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
-    assert bad in err
-    assert not os.listdir(tmp_path)
+    assert bad.format(*paths) in err
+    assert not out.exists()
 
 
 def test_mode_is_spelled_alike_in_flag_and_config_file(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Golden sha256 digests of fixed-seed CLI data files and manifests.
 
 Each exact subcommand runs at a small fixed config, once per output
-format, and the bytes of its data file must hash to the digest recorded
-here; so must its manifest, with the timestamp removed and the ``snf``
-matrix file reduced to its basename.  Any change to sampling, the exact
+format (``json`` is the list of the CSV records, for every subcommand),
+and the bytes of its data file must hash to the digest recorded here; so
+must its manifest, with the timestamp removed and the ``snf`` matrix file
+reduced to its basename.  Any change to sampling, the exact
 arithmetic, the summaries or the output layout shows up as a changed
 digest.
 
@@ -48,7 +49,7 @@ GOLDEN = {
     ("prescribe", "csv"):
         "292c41c0ace08981c38854fa5874b65e2e52a6c05c3e51149f71c121305aba84",
     ("prescribe", "json"):
-        "d1d3576fb7f0c6986d6975ee2927e51dda2d99c6e916e9525af43dd697b00031",
+        "5bbe249dbb8441763bdf0cd15b5d084c432fc98d163635c1c5d7cf57555468bd",
     ("punctured", "csv"):
         "ad1ab58ab17140fe8ea425d4955f19b571058a8a28c925aae532d7a813719b90",
     ("punctured", "json"):
@@ -56,7 +57,7 @@ GOLDEN = {
     ("snf", "csv"):
         "5f8df1affc9547402782c957a87136cf29c6310867a5fdff9478d63f80081d0c",
     ("snf", "json"):
-        "d4df886f2d6977e8748ab43cbb3fcfde97434bd950e17ed46091e4c28d4bb02c",
+        "8f5302db78c8efb50b6f08a4cf5c7d63e868425034fcbe9b487f241d8ebcc47e",
     ("torsion-stats", "csv"):
         "8de8553656f2a72c83e793f357ade548c5d2867df57624d3f1e13c0623c238c1",
     ("torsion-stats", "json"):

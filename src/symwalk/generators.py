@@ -87,10 +87,14 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
     """Humphries generator images in Sp(2g, Z); 2g+1 distinct matrices.
 
     g = 1 is rejected: the construction uses birman_y(g, 2), which only
-    exists for g >= 2.
+    exists for g >= 2.  So is g > 127, whose 2g+1 members are more than a
+    letter can name, before any matrix is built.
     """
     if g < 2:
         raise ValueError("humphries family needs genus >= 2, got %d" % g)
+    if 2 * g + 1 >= LETTER_BOUND:
+        raise ValueError("humphries family at genus %d has %d members, more "
+                         "than %d" % (g, 2 * g + 1, LETTER_BOUND - 1))
     return GeneratorFamily(tuple(
         [birman_u(g, i) for i in range(1, g + 1)]
         + [birman_z(g, i) for i in range(1, g)]

@@ -215,6 +215,16 @@ def test_family_holds_at_most_255_members():
         GeneratorFamily((identity(1),) * 256)
 
 
+def test_humphries_size_is_checked_before_any_matrix(monkeypatch):
+    # 2g+1 members at genus 128 is 257: refused before the first _matrix
+    def unbuilt(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(generators, "_matrix", unbuilt)
+    with pytest.raises(ValueError,
+                       match="humphries family at genus 128 has 257 members"):
+        make_family("humphries", 128)
+
+
 def test_family_rejects_mixed_dims():
     with pytest.raises(ValueError):
         GeneratorFamily((identity(2), identity(4)))

@@ -61,7 +61,7 @@ GOLDEN = {
     ("torsion-stats", "csv"):
         "8de8553656f2a72c83e793f357ade548c5d2867df57624d3f1e13c0623c238c1",
     ("torsion-stats", "json"):
-        "682040916472deff9053c9421fb542b38ae5f1b5d6a59351416188778c0c6d8a",
+        "0b117f55846534b28124679673b14983bd0e4db94574b6ece2872618abf5cded",
 }
 
 

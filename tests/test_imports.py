@@ -1,5 +1,6 @@
 """Every import in the package and its tests is used, importing the CLI
-loads no process pool, and importing the package loads no numpy.
+loads no process pool, importing the package loads no numpy, and a CLI
+process freezes the collector at exit but not before.
 
 An import counts as used when its bound name is read anywhere in the
 module.  ``__init__.py`` files are exempt (their imports are the package's
@@ -7,6 +8,7 @@ re-exports), and so is an import on a line marked ``# noqa: F401``.
 """
 
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -50,16 +52,21 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def loaded_after(statement, prefixes):
-    """The modules starting with one of ``prefixes`` that a fresh
-    interpreter holds after running ``statement``."""
-    code = ("import sys; %s; print(sorted(m for m in sys.modules "
-            "if m.startswith(%r)))" % (statement, prefixes))
+def run_fresh(code):
+    """The stripped standard output of ``code`` run by a fresh interpreter
+    that imports the package from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
+
+
+def loaded_after(statement, prefixes):
+    """The modules starting with one of ``prefixes`` that a fresh
+    interpreter holds after running ``statement``."""
+    return run_fresh("import sys; %s; print(sorted(m for m in sys.modules "
+                     "if m.startswith(%r)))" % (statement, prefixes))
 
 
 def test_the_cli_imports_no_process_pool():
@@ -71,3 +78,21 @@ def test_the_cli_imports_no_process_pool():
 def test_the_package_imports_no_numpy():
     # letters are bytes: no module the package imports needs numpy
     assert loaded_after("import symwalk", ("numpy",)) == "[]"
+
+
+def test_a_cli_process_freezes_the_collector_at_exit(tmp_path):
+    # atexit runs the last-registered handler first, so this hook, taken
+    # before cli registers gc.freeze, reads the count after the freeze
+    out = run_fresh(
+        "import atexit, gc; atexit.register(lambda: print("
+        "'frozen', gc.get_freeze_count())); import symwalk.cli; "
+        "symwalk.cli.main(['prescribe', '2,6', '--out', %r])"
+        % str(tmp_path))
+    frozen = out.splitlines()[-1].split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    from symwalk.cli import main
+    assert main(["prescribe", "2,6", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()

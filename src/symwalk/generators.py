@@ -9,14 +9,19 @@ Three named families:
 
 Each generator is written as its entries: ``_matrix`` takes them at the
 1-based positions of the original listings, over the identity (or, for
-the cyclic ``hru5`` and ``stanek_dd``, over zero).
+the cyclic ``hru5`` and ``stanek_dd``, over zero).  The named families are
+valid by construction, so they and their matrices skip the checks of
+``GeneratorFamily`` and ``IntMatrix`` (``intmat._unchecked``), whose
+Bareiss determinant of each member costs minutes at Humphries genus 127.
+A family or matrix a caller builds, and ``symmetric_closure``, keep every
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, det, inverse
+from .intmat import IntMatrix, _unchecked, det, inverse
 
 LETTER_BOUND = 1 << 8       # a letter is one byte: at most 255 members
 
@@ -67,7 +72,7 @@ def _matrix(n: int, entries: dict, diagonal: int = 1) -> IntMatrix:
             raise ValueError("entry (%d, %d) is outside the %d x %d matrix"
                              % (i, j, n, n))
         rows[i - 1][j - 1] = value
-    return IntMatrix(tuple(map(tuple, rows)))
+    return _unchecked(IntMatrix, rows=tuple(map(tuple, rows)))
 
 
 def birman_y(g: int, i: int) -> IntMatrix:
@@ -95,7 +100,7 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
     if 2 * g + 1 >= LETTER_BOUND:
         raise ValueError("humphries family at genus %d has %d members, more "
                          "than %d" % (g, 2 * g + 1, LETTER_BOUND - 1))
-    return GeneratorFamily(tuple(
+    return _unchecked(GeneratorFamily, matrices=tuple(
         [birman_u(g, i) for i in range(1, g + 1)]
         + [birman_z(g, i) for i in range(1, g)]
         + [birman_y(g, 1), birman_y(g, 2)]))
@@ -114,7 +119,7 @@ def hua_reiner(n: int) -> GeneratorFamily:
     """The two Hua-Reiner generators of SL(n, Z)."""
     if n < 2:
         raise ValueError("hua-reiner family needs n >= 2, got %d" % n)
-    return GeneratorFamily((hru2(n), hru5(n)))
+    return _unchecked(GeneratorFamily, matrices=(hru2(n), hru5(n)))
 
 
 def stanek_r21(n: int) -> IntMatrix:
@@ -141,7 +146,7 @@ def stanek(n: int) -> GeneratorFamily:
     else:
         mats = (_matrix(2 * n, {(2, 1): 1, (n + 1, 1): 1, (n + 1, n + 2): -1}),
                 stanek_dd(n))
-    return GeneratorFamily(mats)
+    return _unchecked(GeneratorFamily, matrices=mats)
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:

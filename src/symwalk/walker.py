@@ -43,7 +43,13 @@ ceil(log2 N)`` bits (``_kernels`` returns it with the walk), so the product
 is unpacked and re-packed every ``_BLOCK`` letters, one walk call per
 block, with a width of the current entry size plus ``grow`` bits per letter
 of the next block: the width tracks the size the entries actually reach,
-not the ``N**L`` bound of a whole word.  The same walk, called on arrays of
+not the ``N**L`` bound of a whole word.  The first block starts from the
+identity's packed columns (``2**(w*j)``, entries of one bit), so a word of
+at most ``_BLOCK`` letters is one walk call and no ``_pack``.  The block
+length comes from a sweep of 128 to 512 letters over the named families at
+L = 10 to 8000: a re-pack (entry bound, ``_pack`` and ``_unpack``) costs
+about as much as 60 letters at n = 4, and longer blocks widen every letter
+of the block.  The same walk, called on arrays of
 residues with one letter, closes the group of the letters mod p in
 ``stats.walk_closure``.
 
@@ -66,13 +72,14 @@ from functools import cached_property, lru_cache
 
 from .generators import (LETTER_BOUND, GeneratorFamily, make_family,
                          symmetric_closure)
-from .intmat import IntMatrix, _unchecked, identity
+from .intmat import IntMatrix, _unchecked
 
 POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
 
 _MASK = (1 << 64) - 1
-_BLOCK = 128                # word_product re-packs its columns this often
+_BLOCK = 256                # word_product re-packs its columns this often;
+                            # its length is picked by a sweep (module doc)
 
 
 def splitmix64(x: int) -> int:
@@ -292,11 +299,16 @@ def word_product(word: Word) -> IntMatrix:
     word gives the identity."""
     grow, walk = _family_kernels(word.family)
     n = word.family.dim
-    cols = identity(n).rows         # symmetric: its rows are its columns
-    for start in range(0, word.length, _BLOCK):
+    # a letter multiplies max|x| by at most N <= 2**grow, so after a block
+    # |x| < 2**(bits + len(block)*grow) < 2**(w-1): unpack holds.  The
+    # first block starts from the identity, packed: column j is 2**(w*j),
+    # and its entries have bits = 1
+    block = word.letters[:_BLOCK]
+    w = 1 + len(block) * grow + 2
+    packed = walk(*[1 << w * j for j in range(n)], block)
+    cols = [_unpack(v, w, n) for v in packed]
+    for start in range(_BLOCK, word.length, _BLOCK):
         block = word.letters[start:start + _BLOCK]
-        # a letter multiplies max|x| by at most N <= 2**grow, so after the
-        # block |x| < 2**(bits + len(block)*grow) < 2**(w-1): unpack holds
         bits = max(abs(x) for col in cols for x in col).bit_length()
         w = bits + len(block) * grow + 2
         packed = walk(*[_pack(col, w) for col in cols], block)

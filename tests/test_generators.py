@@ -174,6 +174,38 @@ def test_all_generators_det_one():
             assert det(m) == 1
 
 
+_NAMED = ([("humphries", g) for g in (2, 3, 4, 5)]
+          + [("hua-reiner", n) for n in (2, 3, 4, 5)]
+          + [("stanek", n) for n in (1, 2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("name, param", _NAMED)
+def test_named_families_pass_the_checked_path(name, param):
+    # a named family is built unchecked; rebuilt the way a caller builds
+    # one, every member is square with det 1, and symplectic unless the
+    # family is Hua-Reiner's SL(n)
+    fam = make_family(name, param)
+    checked = GeneratorFamily(tuple(IntMatrix(m.rows) for m in fam.matrices))
+    assert checked == fam
+    assert all(det(m) == 1 for m in checked.matrices)
+    if name != "hua-reiner":
+        assert all(is_symplectic(m) for m in checked.matrices)
+
+
+@pytest.mark.parametrize("name, param", [("humphries", 3), ("hua-reiner", 3),
+                                         ("stanek", 2), ("stanek", 4)])
+def test_named_families_skip_the_det_check(name, param, monkeypatch):
+    expected = make_family(name, param)
+
+    def no_det(m):
+        raise AssertionError("det called")
+    monkeypatch.setattr(generators, "det", no_det)
+    assert make_family(name, param) == expected
+    # a family a caller builds keeps its check
+    with pytest.raises(AssertionError, match="det called"):
+        GeneratorFamily(expected.matrices)
+
+
 def test_symmetric_closure_identity():
     fam = GeneratorFamily((identity(2),))
     assert len(symmetric_closure(fam)) == 1

@@ -11,13 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import has_python_int_rows
+from symwalk import walker
 from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.intmat import IntMatrix, det, identity, mat_mul
-from symwalk.walker import (BatchConfig, BatchError, Word, _family_kernels,
-                            _kernels, _pack, _unpack, derive_seed, letters,
-                            run_batch, sample_word, word_product)
+from symwalk.walker import (_BLOCK, BatchConfig, BatchError, Word,
+                            _family_kernels, _kernels, _pack, _unpack,
+                            derive_seed, letters, run_batch, sample_word,
+                            word_product)
 
 
 # powers of two reject half the words; 255 keeps all 8 bits of each top
@@ -159,18 +161,42 @@ _PRODUCT_FAMILIES = [humphries_symplectic(2), hua_reiner(3), stanek(2),
 
 @pytest.mark.parametrize("fam", _PRODUCT_FAMILIES)
 def test_fast_product_matches_dense(fam):
-    # prefixes of one word, on both sides of every re-packing block edge;
-    # the empty prefix is the identity
+    # prefixes of one word, on both sides of the first two re-packing
+    # block edges; the empty prefix is the identity
+    edges = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
     rng = random.Random(99)
-    word = tuple(rng.randrange(len(fam)) for _ in range(1000))
+    word = tuple(rng.randrange(len(fam)) for _ in range(max(edges) + 1))
     dense = identity(fam.dim)
-    for length in range(1001):
+    for length in range(len(word) + 1):
         if length:
             dense = mat_mul(dense, fam.matrices[word[length - 1]])
-        if length in (0, 1, 2, 40, 127, 128, 129, 130, 257, 385, 1000):
+        if length in (0, 1, 2, 40) + edges:
             fast = word_product(Word(fam, word[:length]))
             assert fast == dense, length
             assert det(fast) == 1
+
+
+@pytest.mark.parametrize("length", [0, 1, _BLOCK])
+def test_a_word_of_one_block_is_one_walk_call_and_no_pack(length,
+                                                          monkeypatch):
+    # the first block starts from the packed identity, not from _pack
+    fam = stanek(2)
+    word = sample_word(fam, _BLOCK, 5)
+    expected = word_product(Word(fam, word.letters[:length]))
+    grow, walk = _family_kernels(fam)
+    calls = []
+
+    def counting_walk(*args):
+        calls.append(len(args[-1]))
+        return walk(*args)
+
+    def no_pack(col, w):
+        raise AssertionError("_pack called")
+
+    monkeypatch.setitem(vars(fam), "_kernels", (grow, counting_walk))
+    monkeypatch.setattr(walker, "_pack", no_pack)
+    assert word_product(Word(fam, word.letters[:length])) == expected
+    assert calls == [length]
 
 
 @pytest.mark.parametrize("fam, grow", [(humphries_symplectic(2), 2),
@@ -405,6 +431,7 @@ def test_derive_seed_spreads():
 
 
 def test_word_product_rows_are_python_ints():
-    # 300 letters: the columns are unpacked and re-packed twice
+    # 2 * _BLOCK + 88 letters: the columns are unpacked and re-packed twice
     for fam in (humphries_symplectic(2), stanek(2), hua_reiner(3)):
-        assert has_python_int_rows(word_product(sample_word(fam, 300, 3)))
+        word = sample_word(fam, 2 * _BLOCK + 88, 3)
+        assert has_python_int_rows(word_product(word))

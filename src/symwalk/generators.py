@@ -13,8 +13,10 @@ the cyclic ``hru5`` and ``stanek_dd``, over zero).  The named families are
 valid by construction, so they and their matrices skip the checks of
 ``GeneratorFamily`` and ``IntMatrix`` (``intmat._unchecked``), whose
 Bareiss determinant of each member costs minutes at Humphries genus 127.
-A family or matrix a caller builds, and ``symmetric_closure``, keep every
-check.
+A family or matrix a caller builds keeps every check.  The closure
+``symmetric_closure`` adds to a family, checked or named, is valid by
+construction too (the inverse of a determinant-1 matrix has determinant
+1), so it checks only the 255-member cap.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from dataclasses import dataclass
 from .intmat import IntMatrix, _unchecked, det, inverse
 
 LETTER_BOUND = 1 << 8       # a letter is one byte: at most 255 members
+
+
+def _check_size(matrices):
+    if len(matrices) >= LETTER_BOUND:
+        raise ValueError("a generator family holds at most %d members, got %d"
+                         % (LETTER_BOUND - 1, len(matrices)))
 
 
 @dataclass(frozen=True)
@@ -38,9 +46,7 @@ class GeneratorFamily:
     def __post_init__(self):
         if not self.matrices:
             raise ValueError("a generator family must be nonempty")
-        if len(self.matrices) >= LETTER_BOUND:
-            raise ValueError("a generator family holds at most %d members, "
-                             "got %d" % (LETTER_BOUND - 1, len(self.matrices)))
+        _check_size(self.matrices)
         dim = self.matrices[0].dim
         if not dim:
             raise ValueError("generators must have dimension >= 1, got 0")
@@ -150,13 +156,16 @@ def stanek(n: int) -> GeneratorFamily:
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
-    """Extend a family by the exact inverses of its members, deduplicated."""
+    """Extend a family by the exact inverses of its members, deduplicated.
+    The inverse of a member of determinant 1 has determinant 1 and its
+    dimension, so only the 255-member cap is checked."""
     mats = list(fam.matrices)
     for m in fam.matrices:
         inv = inverse(m)
         if inv not in mats:
             mats.append(inv)
-    return GeneratorFamily(tuple(mats))
+    _check_size(mats)
+    return _unchecked(GeneratorFamily, matrices=tuple(mats))
 
 
 def make_family(name: str, param: int) -> GeneratorFamily:

@@ -167,7 +167,9 @@ class Word:
 @dataclass(frozen=True)
 class BatchConfig:
     """One experiment batch: family spec, a progression of word lengths,
-    samples per length, and the master seed."""
+    samples per length, and the master seed.  ``resolve_family`` builds
+    the family once, closure included, and keeps it on the instance, so
+    the CLI and ``run_batch`` walk one family object."""
 
     family_name: str
     family_param: int
@@ -198,10 +200,13 @@ class BatchConfig:
         return list(range(start, end + 1, step))
 
     def resolve_family(self) -> GeneratorFamily:
-        fam = make_family(self.family_name, self.family_param)
-        if self.mode == SYMMETRIC:
-            fam = symmetric_closure(fam)
-        return fam
+        kept = vars(self)
+        if "_family" not in kept:
+            fam = make_family(self.family_name, self.family_param)
+            if self.mode == SYMMETRIC:
+                fam = symmetric_closure(fam)
+            kept["_family"] = fam
+        return kept["_family"]
 
 
 def sample_word(family: GeneratorFamily, length: int, seed: int) -> Word:

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from symwalk import __version__
 from symwalk.cli import (COMMANDS, FLOAT, ConfigError, _ModpRecord, main,
-                         parse_lengths, read_matrix_file, threads_from_env)
+                         parse_lengths, threads_from_env)
 from symwalk.generators import hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
 from symwalk.stats import walk_closure
 from symwalk.walker import BatchConfig, derive_seed, sample_word, word_product
+from test_imports import fresh
 
 
 @pytest.fixture(autouse=True)
@@ -157,6 +159,43 @@ def test_modp_rank_builds_one_product_per_sample(tmp_path, capsys,
     assert len(calls) == 6
 
 
+def test_a_symmetric_run_closes_its_family_once(tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+
+    def counting(family):
+        calls.append(family)
+        return symmetric_closure(family)
+
+    monkeypatch.setattr("symwalk.walker.symmetric_closure", counting)
+    code, _ = _run(capsys, ["torsion-stats", "--mode", "symmetric",
+                            "--lengths", "5", "--samples", "2",
+                            "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_modp_rank_samples_the_family_its_closures_walk(tmp_path, capsys,
+                                                        monkeypatch):
+    closed, sampled = [], []
+
+    def closing(family, p):
+        closed.append(family)
+        return walk_closure(family, p)
+
+    def sampling(family, length, seed):
+        sampled.append(family)
+        return sample_word(family, length, seed)
+
+    monkeypatch.setattr("symwalk.cli.walk_closure", closing)
+    monkeypatch.setattr("symwalk.walker.sample_word", sampling)
+    code, _ = _run(capsys, ["modp-rank", "--lengths", "5", "--samples", "2",
+                            "--primes", "2,3", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(closed) == 2 and len(sampled) == 2
+    assert all(family is closed[0] for family in closed + sampled)
+
+
 def _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv):
     csvs = []
     for threads in ("1", "2"):
@@ -176,11 +215,40 @@ def test_modp_rank_csv_is_independent_of_threads(tmp_path, capsys,
     assert csvs[0] == csvs[1]
 
 
+# Batch runs at families, modes and sizes that no other case here runs
+BATCH_RUNS = [
+    pytest.param(["torsion-stats", "--family", "hua-reiner", "--genus", "3",
+                  "--mode", "symmetric", "--samples", "3", "--lengths", "5"],
+                 id="torsion-stats-hua-reiner3-sym"),
+    # products of 600 letters cross two re-packing edges
+    pytest.param(["torsion-stats", "--genus", "3", "--mode", "symmetric",
+                  "--samples", "3", "--lengths", "600"],
+                 id="torsion-stats-humphries3-sym-L600"),
+    pytest.param(["heegaard", "--family", "stanek", "--genus", "2",
+                  "--samples", "3", "--lengths", "600"],
+                 id="heegaard-stanek2-L600"),
+    pytest.param(["heegaard", "--family", "stanek", "--genus", "4",
+                  "--samples", "3", "--lengths", "5"], id="heegaard-stanek4"),
+    # 2**61 - 1: a prime far over the group bound, so an exact product
+    pytest.param(["modp-rank", "--family", "stanek", "--genus", "2",
+                  "--mode", "symmetric", "--samples", "3", "--lengths", "5",
+                  "--primes", "2,2305843009213693951"],
+                 id="modp-rank-stanek2-sym-p2**61-1"),
+    pytest.param(["modp-rank", "--mode", "symmetric", "--lengths", "500",
+                  "--samples", "3"], id="modp-rank-sym-L500"),
+    # SL(3, F_3): a closure of 5616 elements, within the group bound
+    pytest.param(["modp-rank", "--family", "hua-reiner", "--genus", "3",
+                  "--primes", "3", "--samples", "3", "--lengths", "6"],
+                 id="modp-rank-hua-reiner3-p3"),
+]
+
+
 @pytest.mark.parametrize("argv", [
-    ["torsion-stats", "--lengths", "1:257:128", "--samples", "6"],
-    ["heegaard", "--family", "stanek", "--genus", "2",
-     "--lengths", "1:257:128", "--samples", "6"],
-], ids=["torsion-stats", "heegaard"])
+    pytest.param(["torsion-stats", "--lengths", "1:257:128", "--samples", "6"],
+                 id="torsion-stats"),
+    pytest.param(["heegaard", "--family", "stanek", "--genus", "2",
+                  "--lengths", "1:257:128", "--samples", "6"], id="heegaard"),
+] + BATCH_RUNS)
 def test_exact_csv_is_independent_of_threads(tmp_path, capsys, monkeypatch,
                                              argv):
     # each pool worker compiles its own product kernels from the pickled
@@ -214,14 +282,6 @@ def test_modp_rank_predicts_nothing_over_the_group_bound(tmp_path, capsys):
     assert "total_variation" not in table
 
 
-def test_modp_rank_rejects_composite_prime(tmp_path, capsys):
-    code, _ = _run(capsys, [
-        "modp-rank", "--family", "humphries", "--genus", "2",
-        "--lengths", "10", "--samples", "1", "--seed", "1",
-        "--primes", "4", "--out", str(tmp_path)])
-    assert code == 2
-
-
 def test_heegaard_outputs(tmp_path, capsys):
     code, out = _run(capsys, [
         "heegaard", "--family", "humphries", "--genus", "2",
@@ -246,14 +306,6 @@ def test_heegaard_constant_top_length_has_no_diagnostics(tmp_path, capsys):
     manifest = json.loads(Path(out[1]).read_text())
     assert manifest["per_length"]["1"]["variance"] == 0.0
     assert manifest["clt_diagnostics"] is None
-
-
-def test_heegaard_rejects_nonsymplectic_family(tmp_path, capsys):
-    code, _ = _run(capsys, [
-        "heegaard", "--family", "hua-reiner", "--n", "3",
-        "--lengths", "10", "--samples", "1", "--seed", "1",
-        "--out", str(tmp_path)])
-    assert code == 2
 
 
 def test_lyapunov_outputs(tmp_path, capsys):
@@ -282,21 +334,6 @@ def test_prescribe_outputs(tmp_path, capsys):
     assert lines[1] == "0,-13,2"
 
 
-def test_prescribe_rejects_bad_chain(tmp_path, capsys):
-    code, _ = _run(capsys, ["prescribe", "2,3", "--out", str(tmp_path)])
-    assert code == 2
-    code, _ = _run(capsys, ["prescribe", "--out", str(tmp_path)])
-    assert code == 2
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"chain": []}))
-    out = tmp_path / "out"
-    code = main(["prescribe", "--config", str(config), "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == \
-        "config error: chain must be nonempty\n"
-    assert not out.exists()
-
-
 def test_punctured_outputs(tmp_path, capsys):
     code, out = _run(capsys, [
         "punctured", "--alphabet", "2", "--lengths", "64,256",
@@ -319,40 +356,6 @@ def test_snf_outputs(tmp_path, capsys):
     assert manifest["divisors"] == [2, 4]
 
 
-def test_snf_missing_file_is_io_error(tmp_path, capsys):
-    code, _ = _run(capsys, [
-        "snf", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
-    assert code == 3
-
-
-def test_snf_matrix_file_that_is_not_text_is_a_config_error(tmp_path,
-                                                            capsys):
-    mat = tmp_path / "m.txt"
-    mat.write_bytes(b"\xff")
-    out = tmp_path / "out"
-    code = main(["snf", str(mat), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error: matrix file %s is not text: " % mat)
-    assert not out.exists()
-
-
-def test_read_matrix_file_validation(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("2\n1 2 3\n")
-    with pytest.raises(ConfigError):
-        read_matrix_file(p)
-    p.write_text("x\n")
-    with pytest.raises(ConfigError):
-        read_matrix_file(p)
-    p.write_text("")
-    with pytest.raises(ConfigError):
-        read_matrix_file(p)
-    p.write_text("-1\n5\n")      # n * n == 1 entry: only n is wrong
-    with pytest.raises(ConfigError, match="dimension must be >= 0, got -1"):
-        read_matrix_file(p)
-
-
 def test_json_format_output(tmp_path, capsys):
     code, out = _run(capsys, [
         "torsion-stats", "--family", "humphries", "--genus", "2",
@@ -364,6 +367,8 @@ def test_json_format_output(tmp_path, capsys):
     assert len(records) == 2
     assert set(records[0]) == {"length", "sample_index", "log_torsion",
                                "betti", "singular"}
+    assert all(type(r["singular"]) is int and r["singular"] in (0, 1)
+               for r in records)
 
 
 def _field(text):
@@ -383,6 +388,18 @@ def _field(text):
     ["punctured", "--lengths", "64,128", "--samples", "2"],
     ["prescribe", "2,6"],
     ["snf"],
+] + BATCH_RUNS + [
+    # the last block of a trial is one letter (101) or three (103); g3 is
+    # a 6 x 6 frame
+    pytest.param(["lyapunov", "--family", "stanek", "--genus", "2",
+                  "--steps", "101", "--trials", "3"], id="lyapunov-stanek2"),
+    pytest.param(["lyapunov", "--genus", "3", "--steps", "100",
+                  "--trials", "2"], id="lyapunov-humphries3"),
+    pytest.param(["lyapunov", "--family", "hua-reiner", "--genus", "3",
+                  "--steps", "103", "--trials", "2"],
+                 id="lyapunov-hua-reiner3"),
+    pytest.param(["punctured", "--alphabet", "255", "--lengths", "64,128",
+                  "--samples", "2"], id="punctured-alphabet255"),
 ], ids=lambda argv: argv[0])
 def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
     if argv == ["snf"]:
@@ -397,7 +414,7 @@ def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
         data[kind] = Path(out[0]).read_text()
     header, *lines = data["csv"].splitlines()
     records = json.loads(data["json"])
-    assert len(records) == len(lines) > 0
+    assert type(records) is list and len(records) == len(lines) > 0
     for record, line in zip(records, lines):
         assert list(record) == header.split(",")
         for value, text in zip(record.values(), line.split(",")):
@@ -405,68 +422,164 @@ def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
             assert value == _field(text)
 
 
-@pytest.mark.parametrize("argv, bad", [
-    (["modp-rank", "--primes", "x"], "'x'"),
-    (["punctured", "--lengths", "x"], "'x'"),
-    (["prescribe", "x"], "'x'"),
-    (["torsion-stats", "--family", "nope"], "'nope'"),
-    (["heegaard", "--family", "nope"], "'nope'"),
-    (["modp-rank", "--family", "nope"], "'nope'"),
-    (["torsion-stats", "--genus", "1"], "got 1"),
-    (["modp-rank", "--genus", "1"], "got 1"),
-    (["torsion-stats", "--family", "stanek", "--genus", "0"], "got 0"),
-    (["lyapunov", "--steps", "50"], "steps 50"),
-    (["lyapunov", "--trials", "0"], "trials 0"),
-    (["torsion-stats", "--lengths", "500:100"], "500:100"),
-    (["modp-rank", "--lengths", "500:100"], "500:100"),
-    (["heegaard", "--lengths", "500:100"], "500:100"),
-    (["modp-rank", "--primes", "2,3,2"], "prime 2 "),
-    (["punctured", "--alphabet", "1"], "alphabet 1"),
-    (["punctured", "--samples", "0"], "samples 0"),
-    (["punctured", "--lengths", "64,0"], "[64, 0]"),
-    (["punctured", "--lengths", "64,64"], "distinct lengths, got [64, 64]"),
-    (["punctured", "--alphabet", "4294967296"], "alphabet 4294967296"),
-    (["modp-rank", "--primes", "4"], "4 is not prime"),
-    (["modp-rank", "--primes", "1"], "1 is not prime"),
-    (["modp-rank", "--primes", "3317044064679887385961981"],
+# Every run that must fail: (argv, exit code, text its one stderr line
+# holds).  Exit 2 is a config error and 3 an i/o error, and the line
+# starts with that prefix; a text that starts with the prefix pins the
+# line from its start.  An argv item of bytes is written to a file, and
+# None stands for a file that does not exist; either item becomes the
+# file's path, which the text names where it has {}.
+ERRORS = [
+    (["modp-rank", "--primes", "x"], 2, "'x'"),
+    (["punctured", "--lengths", "x"], 2, "'x'"),
+    (["prescribe", "x"], 2, "'x'"),
+    (["torsion-stats", "--family", "nope"], 2, "'nope'"),
+    (["heegaard", "--family", "nope"], 2, "'nope'"),
+    (["modp-rank", "--family", "nope"], 2, "'nope'"),
+    (["torsion-stats", "--genus", "1"], 2, "got 1"),
+    (["modp-rank", "--genus", "1"], 2, "got 1"),
+    (["torsion-stats", "--family", "stanek", "--genus", "0"], 2, "got 0"),
+    (["lyapunov", "--steps", "50"], 2, "steps 50"),
+    (["lyapunov", "--trials", "0"], 2, "trials 0"),
+    (["torsion-stats", "--lengths", "500:100"], 2, "500:100"),
+    (["modp-rank", "--lengths", "500:100"], 2, "500:100"),
+    (["heegaard", "--lengths", "500:100"], 2, "500:100"),
+    (["modp-rank", "--primes", "2,3,2"], 2, "prime 2 "),
+    (["punctured", "--alphabet", "1"], 2, "alphabet 1"),
+    (["punctured", "--samples", "0"], 2, "samples 0"),
+    (["punctured", "--lengths", "64,0"], 2, "[64, 0]"),
+    (["punctured", "--lengths", "64,64"], 2,
+     "distinct lengths, got [64, 64]"),
+    (["punctured", "--alphabet", "4294967296"], 2, "alphabet 4294967296"),
+    (["modp-rank", "--primes", "4"], 2, "4 is not prime"),
+    (["modp-rank", "--primes", "1"], 2, "1 is not prime"),
+    (["modp-rank", "--primes", "3317044064679887385961981"], 2,
      "only decided below"),
-    (["heegaard", "--family", "hua-reiner", "--n", "3"],
+    (["heegaard", "--family", "hua-reiner", "--n", "3"], 2,
      "heegaard needs a symplectic family"),
     (["heegaard", "--family", "hua-reiner", "--n", "3", "--mode",
-      "symmetric"], "heegaard needs a symplectic family"),
-    (["torsion-stats", "--samples", "0"], "samples must be >= 1, got 0"),
-    (["heegaard", "--lengths", "0:10"],
+      "symmetric"], 2, "heegaard needs a symplectic family"),
+    (["torsion-stats", "--samples", "0"], 2, "samples must be >= 1, got 0"),
+    (["heegaard", "--lengths", "0:10"], 2,
      "lengths must start >= 1 with step >= 1, got 0:10:1"),
-    (["punctured", "--alphabet", "256"], "alphabet 256"),
-    (["prescribe", "2"], "chain length must be even, got (2,)"),
-    (["prescribe", "0,0"], "chain entries must be positive, got (0, 0)"),
-    (["prescribe", "2,0"], "chain entries must be positive, got (2, 0)"),
-    (["prescribe", "--config", b'{"chain": [-1, 2]}'],
+    (["punctured", "--alphabet", "256"], 2, "alphabet 256"),
+    (["prescribe", "2"], 2, "chain length must be even, got (2,)"),
+    (["prescribe", "0,0"], 2, "chain entries must be positive, got (0, 0)"),
+    (["prescribe", "2,0"], 2, "chain entries must be positive, got (2, 0)"),
+    (["prescribe", "--config", b'{"chain": [-1, 2]}'], 2,
      "divisors must be nonnegative, got (-1, 2)"),
-    (["prescribe", "--config", b'{"chain": [0, 2]}'],
+    (["prescribe", "--config", b'{"chain": [0, 2]}'], 2,
      "zeros must come last, got (0, 2)"),
-    (["snf", b""], "matrix file {} is empty"),
-    (["snf", b"2\n1 x 3 4\n"], "matrix file {} must contain integers"),
-    (["snf", b"2\n1 2 3\n"], "matrix file {}: expected 4 entries, got 3"),
-    (["torsion-stats", "--genus", "128"], "humphries family at genus 128"),
-])
-def test_config_errors_exit_2(tmp_path, capsys, argv, bad):
-    # a bytes item is written to a file and stands for the file's path,
-    # which the message must name where ``bad`` has {}
+    (["snf", b""], 2, "matrix file {} is empty"),
+    (["snf", b"2\n1 x 3 4\n"], 2, "matrix file {} must contain integers"),
+    (["snf", b"2\n1 2 3\n"], 2, "matrix file {}: expected 4 entries, got 3"),
+    (["torsion-stats", "--genus", "128"], 2, "humphries family at genus 128"),
+    # refused by its member count before any matrix is built
+    (["torsion-stats", "--genus", "200"], 2,
+     "humphries family at genus 200 has 401 members"),
+    # a config file's values keep their JSON types: nothing is coerced
+    (["modp-rank", "--config", b'{"primes": [2.5]}'], 2,
+     "primes[0] must be an integer, got 2.5"),
+    (["modp-rank", "--config", b'{"primes": ["x"]}'], 2,
+     "config error: primes[0] must be an integer, got 'x'\n"),
+    (["modp-rank", "--config", b'{"primes": 2}'], 2,
+     "primes must be a list of integers, got 2"),
+    (["modp-rank", "--config", b'{"samples": 2.7}'], 2,
+     "samples must be an integer, got 2.7"),
+    (["torsion-stats", "--config", b'{"lengths": [20.5, 20.5, 1]}'], 2,
+     "lengths[0] must be an integer, got 20.5"),
+    (["torsion-stats", "--config", b'{"seed": true}'], 2,
+     "seed must be an integer, got True"),
+    (["heegaard", "--config", b'{"param": "2"}'], 2,
+     "param must be an integer, got '2'"),
+    (["lyapunov", "--config", b'{"steps": 150.9}'], 2,
+     "steps must be an integer, got 150.9"),
+    (["lyapunov", "--config", b'{"trials": false}'], 2,
+     "trials must be an integer, got False"),
+    (["punctured", "--config", b'{"alphabet": 2.0}'], 2,
+     "alphabet must be an integer, got 2.0"),
+    (["punctured", "--config", b'{"lengths": [64, 1e3]}'], 2,
+     "lengths[1] must be an integer, got 1000.0"),
+    (["prescribe", "--config", b'{"chain": [2, 6.0]}'], 2,
+     "chain[1] must be an integer, got 6.0"),
+    (["torsion-stats", "--config", b'{"sampels": 3}'], 2,
+     "torsion-stats does not read config key 'sampels'"),
+    (["lyapunov", "--config", b'{"mode": "symmetric"}'], 2,
+     "lyapunov does not read config key 'mode'"),
+    (["snf", "--config", b'{"matrix_file": "m.txt", "seed": 1}'], 2,
+     "snf does not read config key 'seed'"),
+    (["modp-rank", "--config", b'{"primes": []}'], 2,
+     "modp-rank needs at least one prime"),
+    (["torsion-stats", "--config", b'{"lengths": [1, 2]}'], 2,
+     "lengths must be (start, end, step), got (1, 2)"),
+    (["heegaard", "--config", b'{"lengths": [1, 2, 3, 4]}'], 2,
+     "lengths must be (start, end, step), got (1, 2, 3, 4)"),
+    (["snf", "--config", b'{"matrix_file": null}'], 2,
+     "matrix_file must be a string, got None"),
+    (["snf", "--config", b'{"matrix_file": ["m.txt"]}'], 2,
+     "matrix_file must be a string, got ['m.txt']"),
+    (["snf", "--config", b'{"matrix_file": 3.5}'], 2,
+     "matrix_file must be a string, got 3.5"),
+    (["snf", "--config", b'{"matrix_file": true}'], 2,
+     "matrix_file must be a string, got True"),
+    (["snf", "--config", b'{"matrix_file": 0}'], 2,
+     "matrix_file must be a string, got 0"),
+    (["torsion-stats", "--config", b'{"family": 1}'], 2,
+     "family must be a string, got 1"),
+    (["lyapunov", "--config", b'{"family": null}'], 2,
+     "family must be a string, got None"),
+    (["heegaard", "--config", b'{"mode": ["positive"]}'], 2,
+     "mode must be a string, got ['positive']"),
+    (["modp-rank", "--config", b"[1, 2]"], 2,
+     "config file {} must hold a JSON object, got list"),
+    (["modp-rank", "--config", b"3"], 2,
+     "config file {} must hold a JSON object, got int"),
+    (["modp-rank", "--config", b'{"primes": [2'], 2,
+     "config file {} is not valid JSON: Expecting ',' delimiter"),
+    (["modp-rank", "--config", None], 3, "No such file or directory: '{}'"),
+    (["prescribe", "2,3"], 2, "divisibility chain violated: 2 | 3"),
+    (["prescribe"], 2, "prescribe needs a divisor chain"),
+    (["prescribe", "--config", b'{"chain": []}'], 2,
+     "config error: chain must be nonempty\n"),
+    (["snf", None], 3, "No such file or directory: '{}'"),
+    (["snf", b"\xff"], 2, "config error: matrix file {} is not text: "),
+    (["snf", b"x\n"], 2, "matrix file {} must contain integers"),
+    # n * n == 1 entry: only n is wrong
+    (["snf", b"-1\n5\n"], 2, "matrix file {}: dimension must be >= 0, got -1"),
+]
+PREFIX = {2: "config error:", 3: "i/o error:"}
+
+
+# each row is named by its place in ERRORS and its text
+@pytest.mark.parametrize("argv, code, bad", ERRORS, ids=[
+    "argv%d-%s" % (i, bad) for i, (_, _, bad) in enumerate(ERRORS)])
+def test_config_errors_exit_2(tmp_path, capsys, argv, code, bad):
     out = tmp_path / "out"
     args, paths = [], []
     for i, item in enumerate(argv):
-        if isinstance(item, bytes):
+        if item is None or isinstance(item, bytes):
             path = tmp_path / ("arg%d" % i)
-            path.write_bytes(item)
+            if item is not None:
+                path.write_bytes(item)
             item = str(path)
             paths.append(item)
         args.append(item)
-    code = main(args + ["--out", str(out)])
+    assert main(args + ["--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error:")
-    assert bad.format(*paths) in err
+    text, prefix = bad.format(*paths), PREFIX[code]
+    assert err.startswith(text if text.startswith(prefix) else prefix)
+    assert text in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_process_exits_with_what_main_returns(tmp_path):
+    # python -m symwalk runs sys.exit(main()), as the installed script does
+    version = fresh("-m", "symwalk", "--version")
+    assert (version.returncode, version.stdout) == (0, __version__ + "\n")
+    out = tmp_path / "out"
+    bad = fresh("-m", "symwalk", "modp-rank", "--primes", "4",
+                "--out", str(out))
+    assert bad.returncode == 2
+    assert bad.stderr == "config error: 4 is not prime\n"
     assert not out.exists()
 
 
@@ -496,66 +609,6 @@ def test_mode_is_spelled_alike_in_flag_and_config_file(tmp_path, capsys):
     assert "unknown mode 'nope'" in capsys.readouterr().err
 
 
-def test_modp_rank_primes_from_config_must_be_integers(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"primes": ["x"]}))
-    out = tmp_path / "out"
-    code = main(["modp-rank", "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "config error: primes[0] must be an integer, got 'x'\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, config, bad", [
-    ("modp-rank", {"primes": [2.5]}, "primes[0] must be an integer, got 2.5"),
-    ("modp-rank", {"primes": 2}, "primes must be a list of integers, got 2"),
-    ("modp-rank", {"samples": 2.7}, "samples must be an integer, got 2.7"),
-    ("torsion-stats", {"lengths": [20.5, 20.5, 1]},
-     "lengths[0] must be an integer, got 20.5"),
-    ("torsion-stats", {"seed": True}, "seed must be an integer, got True"),
-    ("heegaard", {"param": "2"}, "param must be an integer, got '2'"),
-    ("lyapunov", {"steps": 150.9}, "steps must be an integer, got 150.9"),
-    ("lyapunov", {"trials": False}, "trials must be an integer, got False"),
-    ("punctured", {"alphabet": 2.0}, "alphabet must be an integer, got 2.0"),
-    ("punctured", {"lengths": [64, 1e3]},
-     "lengths[1] must be an integer, got 1000.0"),
-    ("prescribe", {"chain": [2, 6.0]}, "chain[1] must be an integer, got 6.0"),
-    ("torsion-stats", {"sampels": 3},
-     "torsion-stats does not read config key 'sampels'"),
-    ("lyapunov", {"mode": "symmetric"},
-     "lyapunov does not read config key 'mode'"),
-    ("snf", {"matrix_file": "m.txt", "seed": 1},
-     "snf does not read config key 'seed'"),
-    ("modp-rank", {"primes": []}, "modp-rank needs at least one prime"),
-    ("torsion-stats", {"lengths": [1, 2]},
-     "lengths must be (start, end, step), got (1, 2)"),
-    ("heegaard", {"lengths": [1, 2, 3, 4]},
-     "lengths must be (start, end, step), got (1, 2, 3, 4)"),
-    ("snf", {"matrix_file": None}, "matrix_file must be a string, got None"),
-    ("snf", {"matrix_file": ["m.txt"]},
-     "matrix_file must be a string, got ['m.txt']"),
-    ("snf", {"matrix_file": 3.5}, "matrix_file must be a string, got 3.5"),
-    ("snf", {"matrix_file": True}, "matrix_file must be a string, got True"),
-    ("snf", {"matrix_file": 0}, "matrix_file must be a string, got 0"),
-    ("torsion-stats", {"family": 1}, "family must be a string, got 1"),
-    ("lyapunov", {"family": None}, "family must be a string, got None"),
-    ("heegaard", {"mode": ["positive"]},
-     "mode must be a string, got ['positive']"),
-])
-def test_config_file_integers_are_strict(tmp_path, capsys, command, config,
-                                         bad):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    code = main([command, "--config", str(path), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error:")
-    assert bad in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, where", [
     ("torsion-stats", "symwalk.walker.make_family"),
     ("lyapunov", "symwalk.cli.make_family"),
@@ -577,23 +630,6 @@ def test_config_defaults_are_flag_keys():
     for name, command in COMMANDS.items():
         flags = {key for _, key, _, _ in command.flags}
         assert set(command.defaults) <= flags, name
-
-
-@pytest.mark.parametrize("text, bad", [
-    ("[1, 2]", "must hold a JSON object, got list"),
-    ("3", "must hold a JSON object, got int"),
-    ('{"primes": [2', "is not valid JSON: Expecting ',' delimiter"),
-])
-def test_config_file_must_be_a_json_object(tmp_path, capsys, text, bad):
-    path = tmp_path / "config.json"
-    path.write_text(text)
-    out = tmp_path / "out"
-    code = main(["modp-rank", "--config", str(path), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error: config file ")
-    assert bad in err
-    assert not out.exists()
 
 
 def test_debug_prints_the_traceback_of_an_internal_error(tmp_path, capsys,

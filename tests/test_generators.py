@@ -5,7 +5,8 @@ from symwalk.generators import (GeneratorFamily, birman_u, birman_y, hru2,
                                 hru5, hua_reiner, humphries_symplectic,
                                 make_family, stanek, stanek_dd, stanek_r21,
                                 stanek_tk, symmetric_closure)
-from symwalk.intmat import IntMatrix, det, identity, is_symplectic, mat_mul
+from symwalk.intmat import (IntMatrix, det, identity, inverse, is_symplectic,
+                            mat_mul)
 from symwalk.walker import sample_word
 
 
@@ -201,9 +202,16 @@ def test_named_families_skip_the_det_check(name, param, monkeypatch):
         raise AssertionError("det called")
     monkeypatch.setattr(generators, "det", no_det)
     assert make_family(name, param) == expected
+    # so does their symmetric closure: the inverse of a det-1 member has
+    # det 1
+    closed = symmetric_closure(expected)
     # a family a caller builds keeps its check
     with pytest.raises(AssertionError, match="det called"):
         GeneratorFamily(expected.matrices)
+    monkeypatch.undo()
+    assert GeneratorFamily(closed.matrices) == closed
+    assert set(closed.matrices) == (set(expected.matrices)
+                                    | set(map(inverse, expected.matrices)))
 
 
 def test_symmetric_closure_identity():
@@ -224,6 +232,15 @@ def test_symmetric_closure_hua_reiner():
     assert IntMatrix(((0, 1), (-1, 0))) in closed.matrices
 
 
+def test_symmetric_closure_holds_at_most_255_members():
+    # 128 transvections and their 128 inverses, all distinct
+    fam = GeneratorFamily(tuple(IntMatrix(((1, k), (0, 1)))
+                                for k in range(1, 129)))
+    assert len(symmetric_closure(GeneratorFamily(fam.matrices[:127]))) == 254
+    with pytest.raises(ValueError, match="at most 255 members, got 256$"):
+        symmetric_closure(fam)
+
+
 def test_det_preserved_over_long_walk():
     fam = hua_reiner(3)
     sample = sample_word(fam, 10 ** 4, 42)
@@ -233,6 +250,11 @@ def test_det_preserved_over_long_walk():
 def test_family_rejects_det_not_one():
     with pytest.raises(ValueError):
         GeneratorFamily((IntMatrix(((2, 0), (0, 1))),))
+    # symmetric_closure trusts its input, and inverse() would invert this
+    # det -1 swap: a caller's family is refused where it enters
+    with pytest.raises(ValueError, match="determinant != 1"):
+        symmetric_closure(GeneratorFamily((IntMatrix(((1, 1), (0, 1))),
+                                           IntMatrix(((0, 1), (1, 0))))))
 
 
 def test_family_rejects_dimension_zero():

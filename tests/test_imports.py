@@ -52,14 +52,21 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def run_fresh(code):
-    """The stripped standard output of ``code`` run by a fresh interpreter
-    that imports the package from ``src``."""
+def fresh(*args):
+    """The finished run, output as text, of a fresh interpreter that
+    imports the package from ``src``, called with ``args``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip()
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def run_fresh(code):
+    """The stripped standard output of ``code`` run by ``fresh``, which
+    must exit 0."""
+    run = fresh("-c", code)
+    run.check_returncode()
+    return run.stdout.strip()
 
 
 def loaded_after(statement, prefixes):

@@ -422,6 +422,7 @@ def test_symmetric_mode_resolves_closed_family():
     cfg = BatchConfig("hua-reiner", 2, (1, 1, 1), 1, 0, mode="symmetric")
     fam = cfg.resolve_family()
     assert len(fam) == 4
+    assert cfg.resolve_family() is fam     # kept from the first call on
 
 
 def test_derive_seed_spreads():

@@ -282,6 +282,17 @@ def test_modp_rank_predicts_nothing_over_the_group_bound(tmp_path, capsys):
     assert "total_variation" not in table
 
 
+def test_modp_rank_rejects_composite_prime(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "modp-rank", "--family", "humphries", "--genus", "2",
+        "--lengths", "10", "--samples", "1", "--seed", "1",
+        "--primes", "4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: 4 is not prime\n"
+    assert not out.exists()
+
+
 def test_heegaard_outputs(tmp_path, capsys):
     code, out = _run(capsys, [
         "heegaard", "--family", "humphries", "--genus", "2",
@@ -306,6 +317,19 @@ def test_heegaard_constant_top_length_has_no_diagnostics(tmp_path, capsys):
     manifest = json.loads(Path(out[1]).read_text())
     assert manifest["per_length"]["1"]["variance"] == 0.0
     assert manifest["clt_diagnostics"] is None
+
+
+def test_heegaard_rejects_nonsymplectic_family(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "heegaard", "--family", "hua-reiner", "--n", "3",
+        "--lengths", "10", "--samples", "1", "--seed", "1",
+        "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: heegaard needs a symplectic family")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_lyapunov_outputs(tmp_path, capsys):

@@ -11,12 +11,15 @@ Each generator is written as its entries: ``_matrix`` takes them at the
 1-based positions of the original listings, over the identity (or, for
 the cyclic ``hru5`` and ``stanek_dd``, over zero).  The named families are
 valid by construction, so they and their matrices skip the checks of
-``GeneratorFamily`` and ``IntMatrix`` (``intmat._unchecked``), whose
-Bareiss determinant of each member costs minutes at Humphries genus 127.
-A family or matrix a caller builds keeps every check.  The closure
+``GeneratorFamily`` and ``IntMatrix`` (``intmat._unchecked``); a family or
+matrix a caller builds keeps every check.  The closure
 ``symmetric_closure`` adds to a family, checked or named, is valid by
 construction too (the inverse of a determinant-1 matrix has determinant
-1), so it checks only the 255-member cap.
+1), so it checks only the 255-member cap.  The inverse of a near-identity
+member costs O(n^2), not O(n^3), because ``intmat``'s elimination skips
+the rows such a matrix leaves unchanged: the 255 members of Humphries
+genus 127, of dimension 254, invert in about 2 s, so an over-cap closure
+is refused in seconds.
 """
 
 from __future__ import annotations
@@ -156,24 +159,22 @@ def stanek(n: int) -> GeneratorFamily:
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
-    """Extend a family by the exact inverses of its members, deduplicated.
-    The inverse of a member of determinant 1 has determinant 1 and its
-    dimension, so only the 255-member cap is checked."""
-    mats = list(fam.matrices)
-    for m in fam.matrices:
-        inv = inverse(m)
-        if inv not in mats:
-            mats.append(inv)
+    """Extend a family by the exact inverses of its members: the members
+    in their order, then each inverse that is not a member, first
+    occurrences only, in member order.  The inverse of a member of
+    determinant 1 has determinant 1 and its dimension, so only the
+    255-member cap is checked."""
+    known = set(fam.matrices)
+    mats = fam.matrices + tuple(dict.fromkeys(
+        inv for inv in map(inverse, fam.matrices) if inv not in known))
     _check_size(mats)
-    return _unchecked(GeneratorFamily, matrices=tuple(mats))
+    return _unchecked(GeneratorFamily, matrices=mats)
 
 
 def make_family(name: str, param: int) -> GeneratorFamily:
     """Resolve a family by name and its size parameter (genus or n)."""
-    if name == "humphries":
-        return humphries_symplectic(param)
-    if name in ("hua-reiner", "hua_reiner"):
-        return hua_reiner(param)
-    if name == "stanek":
-        return stanek(param)
-    raise ValueError("unknown family %r" % name)
+    make = {"humphries": humphries_symplectic, "hua-reiner": hua_reiner,
+            "hua_reiner": hua_reiner, "stanek": stanek}.get(name)
+    if make is None:
+        raise ValueError("unknown family %r" % name)
+    return make(param)

@@ -2,9 +2,10 @@
 
 Dense, square, immutable.  Everything in here is exact: no floats, no
 rounding.  These matrices carry monodromy actions on first homology and
-all random products built from them, so correctness beats speed -- but
-the dimensions are tiny (<= 30) and Python ints are already arbitrary
-precision, so plain dense algorithms are fine.
+all random products built from them, so correctness beats speed.  The
+generators reach dimension 254 (Humphries genus 127) but sit near the
+identity, so elimination and the symplectic check skip exactly the work
+that cannot change their answer, and stay dense algorithms otherwise.
 """
 
 from __future__ import annotations
@@ -93,7 +94,11 @@ def _eliminate(a: list) -> int:
     and leaves it upper triangular (what lies below its diagonal is stale,
     and never read).  Each step row <- (row * pivot - f * top) // prev
     divides exactly, as every entry is then a minor of the input, so the
-    entries stay integers of polynomial size."""
+    entries stay integers of polynomial size.  A row with f = 0 while
+    pivot = prev is left as it is, since the step would give it back
+    exactly.  On a near-identity matrix, whose leading minors are mostly 1
+    and whose entries below the diagonal are mostly 0, most rows then cost
+    one comparison a step instead of a pass along the row."""
     n = len(a)
     sign = prev = 1
     for k in range(n):
@@ -107,8 +112,9 @@ def _eliminate(a: list) -> int:
         pivot = top[k]
         for row in a[k + 1:]:
             f = row[k]
-            for j in range(k + 1, len(top)):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
+            if f or pivot != prev:
+                for j in range(k + 1, len(top)):
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
     return sign * prev
 
@@ -123,8 +129,10 @@ def inverse(m: IntMatrix) -> IntMatrix:
 
     Requires det(m) in {1, -1}.  Elimination takes ``[m | I]`` to
     ``[U | B]`` with U upper triangular and m^-1 = U^-1 B; the rows of
-    m^-1 are then solved for from the last up.  Each division there is
-    exact: its dividend is U[i][i] times row i of m^-1, which is integral.
+    m^-1 are then solved for from the last up, and a row j with
+    U[i][j] = 0 is skipped, as it would subtract zero.  Each division there
+    is exact: its dividend is U[i][i] times row i of m^-1, which is
+    integral.
     """
     n = m.dim
     a = [list(row + e) for row, e in zip(m.rows, identity(n).rows)]
@@ -135,7 +143,8 @@ def inverse(m: IntMatrix) -> IntMatrix:
         u = a[i]
         x = u[n:]
         for j in range(i + 1, n):
-            x = [s - u[j] * t for s, t in zip(x, a[j])]
+            if u[j]:
+                x = [s - u[j] * t for s, t in zip(x, a[j])]
         a[i] = [s // u[i] for s in x]
     return _unchecked(IntMatrix, rows=tuple(map(tuple, a)))
 
@@ -191,11 +200,17 @@ def mod_p(m: IntMatrix, p: int) -> IntMatrix:
 def is_symplectic(m: IntMatrix) -> bool:
     """True iff m' J m = J exactly, for J the standard symplectic form on
     Z^(2g), 2g = m.dim: +I_g in the upper-right block and -I_g in the
-    lower-left block.  False for an odd or zero dimension."""
+    lower-left block.  False for an odd or zero dimension.
+
+    Entry (i, j) of m' J m is the form on columns u, v of m,
+    sum(u[k] v[g+k] - u[g+k] v[k]), and is compared with J[i][j].  Only
+    pairs with at least one column that differs from the identity's are
+    computed: two identity columns give J[i][j] by definition, and the
+    form is antisymmetric, so a pair is settled from either end."""
     g, odd = divmod(m.dim, 2)
-    if odd or not g:
-        return False
-    j = _unchecked(IntMatrix, rows=tuple(
-        tuple(1 if c == r + g else -1 if r == c + g else 0
-              for c in range(2 * g)) for r in range(2 * g)))
-    return mat_mul(mat_mul(m.transpose(), j), m) == j
+    cols = tuple(zip(*m.rows))
+    return not odd and g > 0 and all(
+        sum(map(operator.mul, u[:g], v[g:]))
+        - sum(map(operator.mul, u[g:], v[:g])) == (j == i + g) - (i == j + g)
+        for i, (u, e) in enumerate(zip(cols, identity(m.dim).rows)) if u != e
+        for j, v in enumerate(cols))

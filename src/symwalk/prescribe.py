@@ -8,8 +8,8 @@ coordinate pairs (i, g+i) of the standard symplectic basis.
 
 from __future__ import annotations
 
-from .homology import DivisorChain, smith_normal_form
-from .intmat import IntMatrix, identity, is_symplectic
+from .homology import DivisorChain, mapping_torus_homology
+from .intmat import IntMatrix, is_symplectic
 
 
 def sl2_block(r: int, s: int) -> IntMatrix:
@@ -46,8 +46,7 @@ def prescribe_symplectic(chain: DivisorChain) -> IntMatrix:
 
 
 def verify_prescription(m: IntMatrix, chain: DivisorChain) -> bool:
-    """True iff m is symplectic and SNF(m - I) equals the chain."""
-    if m.dim != len(chain.divisors) or not is_symplectic(m):
-        return False
-    snf = smith_normal_form(m - identity(m.dim))
-    return snf.divisors == chain.divisors
+    """True iff m is symplectic and its mapping torus has H1 = the chain
+    plus one free factor, that is, SNF(m - I) equals the chain."""
+    return (m.dim == len(chain.divisors) and is_symplectic(m)
+            and mapping_torus_homology(m).divisors == chain.divisors + (0,))

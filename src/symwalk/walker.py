@@ -204,7 +204,12 @@ class BatchConfig:
         if "_family" not in kept:
             fam = make_family(self.family_name, self.family_param)
             if self.mode == SYMMETRIC:
-                fam = symmetric_closure(fam)
+                try:
+                    fam = symmetric_closure(fam)
+                except ValueError as exc:
+                    raise ValueError("%s family at param %d in %s mode: %s" % (
+                        self.family_name, self.family_param, self.mode,
+                        exc)) from None
             kept["_family"] = fam
         return kept["_family"]
 

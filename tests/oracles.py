@@ -277,6 +277,34 @@ def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:
         tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)))
 
 
+def random_near_identity(rng: random.Random, n: int, moves: int) -> IntMatrix:
+    """A unimodular n x n matrix a few row operations from the identity:
+    each move adds a small multiple of one row to another, or swaps two
+    rows (det -1), or swaps them and negates one (det 1)."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i], rows[j] = rows[j], [-x for x in rows[i]]
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
+def dense_is_symplectic(m: IntMatrix) -> bool:
+    """m' J m == J by two dense products, for J = ``symplectic_form``;
+    False for an odd or zero dimension."""
+    g, odd = divmod(m.dim, 2)
+    if odd or not g:
+        return False
+    j = symplectic_form(g)
+    return mat_mul(mat_mul(m.transpose(), j), m) == j
+
+
 def longest_run_rescan(letters, letter):
     """Quadratic rescan longest-run oracle."""
     letters = list(letters)

@@ -569,6 +569,12 @@ ERRORS = [
     (["snf", b"x\n"], 2, "matrix file {} must contain integers"),
     # n * n == 1 entry: only n is wrong
     (["snf", b"-1\n5\n"], 2, "matrix file {}: dimension must be >= 0, got -1"),
+    # 129 members and their 129 distinct inverses: the message names the
+    # family, its parameter and the mode
+    (["torsion-stats", "--genus", "64", "--mode", "symmetric", "--samples",
+      "1", "--lengths", "5"], 2,
+     "humphries family at param 64 in symmetric mode: a generator family "
+     "holds at most 255 members, got 258"),
 ]
 PREFIX = {2: "config error:", 3: "i/o error:"}
 

@@ -232,6 +232,23 @@ def test_symmetric_closure_hua_reiner():
     assert IntMatrix(((0, 1), (-1, 0))) in closed.matrices
 
 
+def test_symmetric_closure_order():
+    # the members in their order, then each inverse that is not a member,
+    # in member order
+    t, u = IntMatrix(((1, 1), (0, 1))), IntMatrix(((1, 0), (1, 1)))
+    s = IntMatrix(((-1, 0), (0, -1)))       # its own inverse
+    assert symmetric_closure(GeneratorFamily((t, s, u))).matrices == (
+        t, s, u, inverse(t), inverse(u))
+    assert symmetric_closure(GeneratorFamily((t, inverse(t), s))).matrices \
+        == (t, inverse(t), s)
+    # a repeated member stays repeated, and its inverse comes once
+    assert symmetric_closure(GeneratorFamily((t, s, t))).matrices == (
+        t, s, t, inverse(t))
+    fam = humphries_symplectic(3)
+    assert symmetric_closure(fam).matrices == (
+        fam.matrices + tuple(map(inverse, fam.matrices)))
+
+
 def test_symmetric_closure_holds_at_most_255_members():
     # 128 transvections and their 128 inverses, all distinct
     fam = GeneratorFamily(tuple(IntMatrix(((1, k), (0, 1)))

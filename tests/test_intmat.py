@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (det_cofactor, has_python_int_rows, random_int_matrix,
-                     symplectic_form)
+from oracles import (dense_is_symplectic, det_cofactor, has_python_int_rows,
+                     random_int_matrix, random_near_identity, symplectic_form)
 from symwalk.generators import (birman_u, birman_y, birman_z, hru2, hru5,
-                                stanek, stanek_dd, stanek_r21, stanek_tk)
+                                hua_reiner, humphries_symplectic, stanek,
+                                stanek_dd, stanek_r21, stanek_tk,
+                                symmetric_closure)
 from symwalk.intmat import (MR_EXACT_BELOW, DimensionError, IntMatrix,
                             NotPrimeError, det, identity, inverse, is_prime,
                             is_symplectic, mat_mul, mod_p)
+from symwalk.walker import sample_word
 
 
 def test_mat_mul_identity():
@@ -183,6 +186,53 @@ def test_inverse_exact():
         with pytest.raises(ValueError,
                            match=r"not invertible over Z \(det = %d\)" % d):
             inverse(m)
+
+
+def test_det_scales_a_zero_row_while_the_pivot_changes():
+    # every entry below each pivot is 0, but the pivots 2, 6, 30 differ
+    # from the previous ones, so each row below is still scaled
+    assert det(IntMatrix(((2, 1, 0), (0, 3, 1), (0, 0, 5)))) == 30
+
+
+def test_inverse_of_named_and_near_identity_matrices():
+    families = ([humphries_symplectic(g) for g in range(2, 9)]
+                + [stanek(n) for n in range(1, 6)]
+                + [hua_reiner(n) for n in range(2, 7)])
+    rng = random.Random(34)
+    near = [random_near_identity(rng, n, moves) for n in (1, 2, 3, 5, 8, 13)
+            for moves in (0, 1, 2, 4, 8, 16) for _ in range(3)]
+    assert len({m for m in near if m.dim == 13}) > 10
+    for m in [m for fam in families for m in fam.matrices] + near:
+        assert mat_mul(m, inverse(m)) == identity(m.dim)
+
+
+def _symplectic_cases():
+    rng = random.Random(35)
+    fams = ([humphries_symplectic(g) for g in (2, 3, 5)]
+            + [stanek(n) for n in (1, 2, 4, 5)]
+            + [hua_reiner(n) for n in (2, 4)])
+    yield from _named_generators()
+    for fam in fams:
+        yield from symmetric_closure(fam).matrices
+        for seed in range(3):
+            yield sample_word(fam, 12, seed).product
+    for n in range(9):
+        for moves in (0, 1, 2, 5):
+            yield random_near_identity(rng, n, moves)
+        yield random_int_matrix(rng, n, 2)
+    for n in (0, 1, 3, 5):
+        yield identity(n)
+
+
+def test_is_symplectic_equals_the_dense_check():
+    cases = list(_symplectic_cases())
+    verdicts = [is_symplectic(m) for m in cases]
+    assert verdicts == [dense_is_symplectic(m) for m in cases]
+    assert 40 < sum(verdicts) < len(cases) - 40     # both verdicts, often
+    # only column 1 moves, and its form with the identity column 2 is 2:
+    # a check of moved columns against each other alone would pass it
+    m = IntMatrix(((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert det(m) == 1 and not is_symplectic(m) and not dense_is_symplectic(m)
 
 
 def test_matrix_must_be_square():

@@ -36,7 +36,7 @@ import traceback
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .generators import make_family
+from .generators import group_order, make_family
 from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
                        heegaard_homology, smith_normal_form, torsion_order)
 # No call goes through this name (torsion_order calls homology's own); it
@@ -98,11 +98,15 @@ def _torsion_record(word):
 
 class _ModpRecord:
     """fp_rank per prime: by a walk on the closure of the family mod p when
-    that group is within GROUP_ORDER_BOUND, else from the exact product."""
+    that group is within GROUP_ORDER_BOUND, else from the exact product.
+    ``orders`` holds |G| per prime (``generators.group_order``), so a
+    group over the bound is not searched; the record keeps only the
+    closures."""
 
-    def __init__(self, family, primes):
+    def __init__(self, family, primes, orders):
         self.primes = tuple(primes)
-        self.closures = tuple(walk_closure(family, p) for p in self.primes)
+        self.closures = tuple(walk_closure(family, p, order)
+                              for p, order in zip(self.primes, orders))
 
     def __call__(self, word):
         return tuple(fp_rank(word.product, p) if closure is None
@@ -203,8 +207,9 @@ def cmd_modp_rank(cfg):
         if p in primes[:i]:
             raise ConfigError("prime %d is listed twice" % p)
     batch, family = _batch_config(cfg)
+    orders = [group_order(cfg["family"], cfg["param"], p) for p in primes]
     try:
-        record = _ModpRecord(family, primes)
+        record = _ModpRecord(family, primes, orders)
     except ValueError as exc:   # mod_p refuses p: not prime, or undecided
         raise ConfigError(str(exc))
     rows = [(length, j, p, r) for length, j, ranks in

@@ -9,32 +9,26 @@ Three named families:
 
 Each generator is written as its entries: ``_matrix`` takes them at the
 1-based positions of the original listings, over the identity (or, for
-the cyclic ``hru5`` and ``stanek_dd``, over zero).  The named families are
-valid by construction, so they and their matrices skip the checks of
-``GeneratorFamily`` and ``IntMatrix`` (``intmat._unchecked``); a family or
-matrix a caller builds keeps every check.  The closure
-``symmetric_closure`` adds to a family, checked or named, is valid by
-construction too (the inverse of a determinant-1 matrix has determinant
-1), so it checks only the 255-member cap.  The inverse of a near-identity
-member costs O(n^2), not O(n^3), because ``intmat``'s elimination skips
-the rows such a matrix leaves unchanged: the 255 members of Humphries
-genus 127, of dimension 254, invert in about 2 s, so an over-cap closure
-is refused in seconds.
+the cyclic ``hru5`` and ``stanek_dd``, over zero).  It builds a square
+matrix of Python ints, which is all the checks of ``IntMatrix`` ensure, so
+it skips them (``intmat._unchecked``).  Every family, named, built by a
+caller or closed by ``symmetric_closure``, passes the checks of
+``GeneratorFamily``: at most 255 members, counted before any determinant,
+one dimension, and determinant 1 each.  The members sit near the
+identity, and ``intmat``'s elimination skips the rows such a matrix
+leaves unchanged, so the 255 members of Humphries genus 127, of dimension
+254, prove their determinants in about 0.3 s and invert in about 2 s: an
+over-cap closure is refused in seconds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .intmat import IntMatrix, _unchecked, det, inverse
 
 LETTER_BOUND = 1 << 8       # a letter is one byte: at most 255 members
-
-
-def _check_size(matrices):
-    if len(matrices) >= LETTER_BOUND:
-        raise ValueError("a generator family holds at most %d members, got %d"
-                         % (LETTER_BOUND - 1, len(matrices)))
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,9 @@ class GeneratorFamily:
     def __post_init__(self):
         if not self.matrices:
             raise ValueError("a generator family must be nonempty")
-        _check_size(self.matrices)
+        if len(self.matrices) >= LETTER_BOUND:     # before any det
+            raise ValueError("a generator family holds at most %d members, "
+                             "got %d" % (LETTER_BOUND - 1, len(self.matrices)))
         dim = self.matrices[0].dim
         if not dim:
             raise ValueError("generators must have dimension >= 1, got 0")
@@ -109,7 +105,7 @@ def humphries_symplectic(g: int) -> GeneratorFamily:
     if 2 * g + 1 >= LETTER_BOUND:
         raise ValueError("humphries family at genus %d has %d members, more "
                          "than %d" % (g, 2 * g + 1, LETTER_BOUND - 1))
-    return _unchecked(GeneratorFamily, matrices=tuple(
+    return GeneratorFamily(tuple(
         [birman_u(g, i) for i in range(1, g + 1)]
         + [birman_z(g, i) for i in range(1, g)]
         + [birman_y(g, 1), birman_y(g, 2)]))
@@ -128,7 +124,7 @@ def hua_reiner(n: int) -> GeneratorFamily:
     """The two Hua-Reiner generators of SL(n, Z)."""
     if n < 2:
         raise ValueError("hua-reiner family needs n >= 2, got %d" % n)
-    return _unchecked(GeneratorFamily, matrices=(hru2(n), hru5(n)))
+    return GeneratorFamily((hru2(n), hru5(n)))
 
 
 def stanek_r21(n: int) -> IntMatrix:
@@ -155,20 +151,17 @@ def stanek(n: int) -> GeneratorFamily:
     else:
         mats = (_matrix(2 * n, {(2, 1): 1, (n + 1, 1): 1, (n + 1, n + 2): -1}),
                 stanek_dd(n))
-    return _unchecked(GeneratorFamily, matrices=mats)
+    return GeneratorFamily(mats)
 
 
 def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
     """Extend a family by the exact inverses of its members: the members
     in their order, then each inverse that is not a member, first
-    occurrences only, in member order.  The inverse of a member of
-    determinant 1 has determinant 1 and its dimension, so only the
-    255-member cap is checked."""
+    occurrences only, in member order.  The result is checked like any
+    family: first the 255-member cap, then each member's determinant."""
     known = set(fam.matrices)
-    mats = fam.matrices + tuple(dict.fromkeys(
-        inv for inv in map(inverse, fam.matrices) if inv not in known))
-    _check_size(mats)
-    return _unchecked(GeneratorFamily, matrices=mats)
+    return GeneratorFamily(fam.matrices + tuple(dict.fromkeys(
+        inv for inv in map(inverse, fam.matrices) if inv not in known)))
 
 
 def make_family(name: str, param: int) -> GeneratorFamily:
@@ -178,3 +171,24 @@ def make_family(name: str, param: int) -> GeneratorFamily:
     if make is None:
         raise ValueError("unknown family %r" % name)
     return make(param)
+
+
+def group_order(name: str, param: int, p: int) -> int:
+    """The order of the group the named family generates mod the prime p.
+    Humphries' twists generate the mapping class group, which maps onto
+    Sp(2g, Z); Stanek's members generate Sp(2n, Z), and Hua-Reiner's
+    SL(n, Z).  Reduction mod p maps each onto its group over F_p (Newman,
+    *Integral Matrices*, ch. VII), and in a finite group the semigroup of
+    the letters is a group, so either walk mode closes to
+
+        |Sp(2g, F_p)| = p^(g^2) prod_{i=1..g} (p^(2i) - 1),
+        |SL(n, F_p)| = p^(n(n-1)/2) prod_{i=2..n} (p^i - 1).
+
+    Sp(2, F_p) is SL(2, F_p), the group of Stanek n = 1."""
+    if name in ("humphries", "stanek"):
+        return p ** (param * param) * math.prod(
+            p ** (2 * i) - 1 for i in range(1, param + 1))
+    if name in ("hua-reiner", "hua_reiner"):
+        return p ** (param * (param - 1) // 2) * math.prod(
+            p ** i - 1 for i in range(2, param + 1))
+    raise ValueError("unknown family %r" % name)

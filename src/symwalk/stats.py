@@ -188,12 +188,16 @@ class WalkClosure:
         return {rank: Fraction(c, words) for rank, c in sorted(law.items())}
 
 
-def walk_closure(family, p: int):
+def walk_closure(family, p: int, order=None):
     """The ``WalkClosure`` of ``family`` mod the prime p, G closed by
     breadth-first search, or None once |G| exceeds ``GROUP_ORDER_BOUND``;
     ``mod_p`` refuses a p that is not prime.  An element is the tuple of
-    its residues, row by row."""
+    its residues, row by row.  A caller that knows |G| (``order``, from
+    ``generators.group_order`` for a named family) gets None above the
+    bound without a search."""
     reduced = [mod_p(m, p).rows for m in family.matrices]
+    if order is not None and order > GROUP_ORDER_BOUND:
+        return None
     first = {g: reduced.index(g) for g in reduced}  # g's first letter
     walk = _family_kernels(family)[1]
     moves = {g: [] for g in first}      # one table per distinct generator

@@ -72,7 +72,7 @@ from functools import cached_property, lru_cache
 
 from .generators import (LETTER_BOUND, GeneratorFamily, make_family,
                          symmetric_closure)
-from .intmat import IntMatrix, _unchecked
+from .intmat import IntMatrix, _unchecked, identity
 
 POSITIVE = "positive-only"      # walk modes: the family as named, or it
 SYMMETRIC = "symmetric"         # together with the inverses of its members
@@ -262,8 +262,8 @@ def _kernels(matrices: tuple) -> tuple:
     updates = []
     for m in matrices:
         cols = {}
-        for j, col in enumerate(zip(*m.rows)):
-            if any(c != (i == j) for i, c in enumerate(col)):
+        for j, (col, e) in enumerate(zip(zip(*m.rows), identity(n).rows)):
+            if col != e:
                 terms = sorted(((i, c) for i, c in enumerate(col) if c),
                                key=lambda term: term[0] != j)
                 # " + p1 - 2 * p0" -> "p1 - 2 * p0"; a leading "-" stays unary

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from symwalk import __version__
 from symwalk.cli import (COMMANDS, FLOAT, ConfigError, _ModpRecord, main,
                          parse_lengths, threads_from_env)
-from symwalk.generators import hua_reiner, symmetric_closure
+from symwalk.generators import group_order, hua_reiner, symmetric_closure
 from symwalk.homology import fp_rank
-from symwalk.stats import walk_closure
+from symwalk.stats import clt_diagnostics, walk_closure
 from symwalk.walker import BatchConfig, derive_seed, sample_word, word_product
 from test_imports import fresh
 
@@ -114,7 +115,7 @@ def test_modp_rank_with_oracle_table(tmp_path, capsys):
         "hua-reiner3-p3"])
 def test_modp_record_ranks_equal_exact_ranks(family, param, mode, p, closed):
     walked = BatchConfig(family, param, (1, 1, 1), 1, 0, mode).resolve_family()
-    record = _ModpRecord(walked, [p])
+    record = _ModpRecord(walked, [p], [group_order(family, param, p)])
     assert (record.closures[0] is not None) == closed
     for length in (1, 2, 129):
         for j in range(20):
@@ -179,9 +180,9 @@ def test_modp_rank_samples_the_family_its_closures_walk(tmp_path, capsys,
                                                         monkeypatch):
     closed, sampled = [], []
 
-    def closing(family, p):
+    def closing(family, p, order):
         closed.append(family)
-        return walk_closure(family, p)
+        return walk_closure(family, p, order)
 
     def sampling(family, length, seed):
         sampled.append(family)
@@ -282,6 +283,17 @@ def test_modp_rank_predicts_nothing_over_the_group_bound(tmp_path, capsys):
     assert "total_variation" not in table
 
 
+def test_modp_rank_over_the_bound_closes_no_group(tmp_path, capsys,
+                                                  monkeypatch):
+    # |SL(4, F_2)| = 20160 comes from the closed form, not from a search
+    def no_walk(family):
+        raise AssertionError("closure searched")
+
+    monkeypatch.setattr("symwalk.stats._family_kernels", no_walk)
+    table = _hua_reiner_rank_table(tmp_path, capsys, 4)
+    assert table["predicted"] == {}
+
+
 def test_modp_rank_rejects_composite_prime(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -305,6 +317,18 @@ def test_heegaard_outputs(tmp_path, capsys):
     assert manifest["genus"] == 2
     # too few samples at the top length for diagnostics
     assert manifest["clt_diagnostics"] is None
+
+
+def test_heegaard_diagnoses_the_log_h1_of_its_top_length(tmp_path, capsys):
+    code, out = _run(capsys, ["heegaard", "--samples", "30", "--lengths",
+                              "20", "--out", str(tmp_path)])
+    assert code == 0
+    header, *lines = Path(out[0]).read_text().splitlines()
+    i = header.split(",").index("log_h1")
+    log_h1 = [float(line.split(",")[i]) for line in lines]
+    manifest = json.loads(Path(out[1]).read_text())
+    assert manifest["clt_diagnostics_at_length"] == 20
+    assert manifest["clt_diagnostics"] == asdict(clt_diagnostics(log_h1))
 
 
 def test_heegaard_constant_top_length_has_no_diagnostics(tmp_path, capsys):
@@ -344,6 +368,17 @@ def test_lyapunov_outputs(tmp_path, capsys):
     manifest = json.loads(Path(out[1]).read_text())
     assert len(manifest["exponents"]) == 4
     assert manifest["exponents"] == sorted(manifest["exponents"], reverse=True)
+
+
+def test_a_failed_prescription_check_is_internal(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr("symwalk.cli.verify_prescription",
+                        lambda m, chain: False)
+    out = tmp_path / "out"
+    assert main(["prescribe", "2,6", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: prescription verification failed\n")
+    assert not out.exists()
 
 
 def test_prescribe_outputs(tmp_path, capsys):
@@ -575,6 +610,9 @@ ERRORS = [
       "1", "--lengths", "5"], 2,
      "humphries family at param 64 in symmetric mode: a generator family "
      "holds at most 255 members, got 258"),
+    (["lyapunov", "--family", "nope"], 2,
+     "config error: invalid lyapunov config: unknown family 'nope'\n"),
+    (["snf"], 2, "config error: snf needs a matrix file\n"),
 ]
 PREFIX = {2: "config error:", 3: "i/o error:"}
 

@@ -182,36 +182,27 @@ _NAMED = ([("humphries", g) for g in (2, 3, 4, 5)]
 
 @pytest.mark.parametrize("name, param", _NAMED)
 def test_named_families_pass_the_checked_path(name, param):
-    # a named family is built unchecked; rebuilt the way a caller builds
-    # one, every member is square with det 1, and symplectic unless the
-    # family is Hua-Reiner's SL(n)
+    # make_family builds every family through GeneratorFamily's checks
+    # (det 1 each); every member is symplectic too unless the family is
+    # Hua-Reiner's SL(n)
     fam = make_family(name, param)
-    checked = GeneratorFamily(tuple(IntMatrix(m.rows) for m in fam.matrices))
-    assert checked == fam
-    assert all(det(m) == 1 for m in checked.matrices)
     if name != "hua-reiner":
-        assert all(is_symplectic(m) for m in checked.matrices)
+        assert all(is_symplectic(m) for m in fam.matrices)
 
 
-@pytest.mark.parametrize("name, param", [("humphries", 3), ("hua-reiner", 3),
-                                         ("stanek", 2), ("stanek", 4)])
-def test_named_families_skip_the_det_check(name, param, monkeypatch):
-    expected = make_family(name, param)
+@pytest.mark.parametrize("name, builder", [("humphries", "birman_y"),
+                                           ("hua-reiner", "hru2"),
+                                           ("stanek", "stanek_dd")])
+def test_a_named_member_of_det_two_is_refused(name, builder, monkeypatch):
+    # a named family is input transcribed from the literature, checked
+    # like a caller's: one corrupted member fails its det check
+    def doubled(n, *args):
+        dim = n if name == "hua-reiner" else 2 * n
+        return generators._matrix(dim, {(1, 1): 2})
 
-    def no_det(m):
-        raise AssertionError("det called")
-    monkeypatch.setattr(generators, "det", no_det)
-    assert make_family(name, param) == expected
-    # so does their symmetric closure: the inverse of a det-1 member has
-    # det 1
-    closed = symmetric_closure(expected)
-    # a family a caller builds keeps its check
-    with pytest.raises(AssertionError, match="det called"):
-        GeneratorFamily(expected.matrices)
-    monkeypatch.undo()
-    assert GeneratorFamily(closed.matrices) == closed
-    assert set(closed.matrices) == (set(expected.matrices)
-                                    | set(map(inverse, expected.matrices)))
+    monkeypatch.setattr(generators, builder, doubled)
+    with pytest.raises(ValueError, match="^generator has determinant != 1$"):
+        make_family(name, 3)
 
 
 def test_symmetric_closure_identity():
@@ -249,11 +240,29 @@ def test_symmetric_closure_order():
         fam.matrices + tuple(map(inverse, fam.matrices)))
 
 
-def test_symmetric_closure_holds_at_most_255_members():
+@pytest.mark.parametrize("name, param", [("hua-reiner", 3), ("stanek", 2),
+                                         ("stanek", 4)])
+def test_symmetric_closure_of_a_named_family(name, param):
+    # the members first, then their inverses: signed permutations among
+    # them, so some inverse may already be a member
+    fam = make_family(name, param)
+    closed = symmetric_closure(fam)
+    assert closed.matrices[:len(fam)] == fam.matrices
+    assert set(closed.matrices) == (set(fam.matrices)
+                                    | set(map(inverse, fam.matrices)))
+    assert len(set(closed.matrices)) == len(closed)
+
+
+def test_symmetric_closure_holds_at_most_255_members(monkeypatch):
     # 128 transvections and their 128 inverses, all distinct
     fam = GeneratorFamily(tuple(IntMatrix(((1, k), (0, 1)))
                                 for k in range(1, 129)))
     assert len(symmetric_closure(GeneratorFamily(fam.matrices[:127]))) == 254
+
+    def no_det(m):
+        raise AssertionError("det called")
+    # the count is refused before any member's det
+    monkeypatch.setattr(generators, "det", no_det)
     with pytest.raises(ValueError, match="at most 255 members, got 256$"):
         symmetric_closure(fam)
 
@@ -272,6 +281,12 @@ def test_family_rejects_det_not_one():
     with pytest.raises(ValueError, match="determinant != 1"):
         symmetric_closure(GeneratorFamily((IntMatrix(((1, 1), (0, 1))),
                                            IntMatrix(((0, 1), (1, 0))))))
+
+
+def test_family_rejects_no_members():
+    with pytest.raises(ValueError, match="^a generator family must be "
+                                         "nonempty$"):
+        GeneratorFamily(())
 
 
 def test_family_rejects_dimension_zero():

@@ -6,15 +6,15 @@ import pytest
 import symwalk.stats as stats
 from oracles import (aperiodic_sl2, aperiodic_sp4,
                      closure_one_element_at_a_time, rank_law_by_enumeration)
-from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
-                                humphries_symplectic, stanek,
+from symwalk.generators import (GeneratorFamily, group_order, hru5,
+                                hua_reiner, humphries_symplectic, stanek,
                                 symmetric_closure)
 from symwalk.homology import _fp_rank, fp_rank
 from symwalk.intmat import IntMatrix, NotPrimeError
 from symwalk.stats import (clt_diagnostics, empirical_rank_table,
                            linear_fit, summarize, total_variation,
                            walk_closure)
-from symwalk.walker import derive_seed, sample_word
+from symwalk.walker import BatchConfig, derive_seed, sample_word
 
 
 def test_summarize_basics():
@@ -252,3 +252,42 @@ def test_walk_closure_takes_no_image_past_the_bound(monkeypatch, family, p,
     assert closure_one_element_at_a_time(family, p, bound, visited) is None
     distinct = len({stats.mod_p(m, p) for m in family.matrices})
     assert sum(walked) == distinct * visited[0]
+
+
+_ORDER_GRID = [(name, param, mode) for name, params in (
+    ("humphries", (2, 3, 4)), ("hua-reiner", (2, 3, 4, 5)),
+    ("stanek", (1, 2, 3, 4))) for param in params
+    for mode in ("positive-only", "symmetric")]
+
+
+def test_group_order_is_the_order_the_search_finds():
+    # every named family, both modes, p up to 13: wherever the formula
+    # puts |G| within the bound, the search closes exactly that many
+    # elements
+    compared = 0
+    for name, param, mode in _ORDER_GRID:
+        fam = BatchConfig(name, param, (1, 1, 1), 1, 0, mode).resolve_family()
+        for p in (2, 3, 5, 7, 11, 13):
+            order = group_order(name, param, p)
+            if order <= stats.GROUP_ORDER_BOUND:
+                assert len(walk_closure(fam, p).ranks) == order, (
+                    name, param, mode, p)
+                compared += 1
+    assert compared == 32
+    assert group_order("hua_reiner", 3, 3) == 5616
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        group_order("nope", 2, 2)
+
+
+def test_walk_closure_over_a_known_order_does_not_search(monkeypatch):
+    def no_walk(fam):
+        raise AssertionError("walk compiled")
+
+    monkeypatch.setattr(stats, "_family_kernels", no_walk)
+    over = stats.GROUP_ORDER_BOUND + 1
+    assert walk_closure(hua_reiner(4), 2, over) is None
+    # the letters are still reduced first: mod_p refuses a p not prime
+    with pytest.raises(NotPrimeError, match="^4 is not prime$"):
+        walk_closure(hua_reiner(4), 4, over)
+    with pytest.raises(AssertionError, match="walk compiled"):
+        walk_closure(hua_reiner(4), 2, stats.GROUP_ORDER_BOUND)

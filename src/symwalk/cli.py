@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: torsion-stats, modp-rank, heegaard, lyapunov, prescribe,
-punctured, snf.  Each experiment writes a CSV of per-sample records and
+punctured.  Each experiment writes a CSV of per-sample records and
 a JSON manifest echoing the full configuration; re-running with a
 manifest's config reproduces both byte-for-byte, on any supported Python
 version: the timestamp is the only field that changes (lyapunov aside,
@@ -38,11 +38,11 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .generators import group_order, make_family
 from .homology import (DivisorChain, complexity_lower_bound, fp_rank,
-                       heegaard_homology, smith_normal_form, torsion_order)
+                       heegaard_homology, torsion_order)
 # No call goes through this name (torsion_order calls homology's own); it
 # stays only because bench/child.py looks the name up on this module.
 from .homology import mapping_torus_homology  # noqa: F401
-from .intmat import IntMatrix, is_symplectic
+from .intmat import is_symplectic
 from .lyapunov import estimate_exponents
 from .prescribe import prescribe_symplectic, verify_prescription
 from .punctured import run_scaling_experiment
@@ -99,9 +99,9 @@ def _torsion_record(word):
 class _ModpRecord:
     """fp_rank per prime: by a walk on the closure of the family mod p when
     that group is within GROUP_ORDER_BOUND, else from the exact product.
-    ``orders`` holds |G| per prime (``generators.group_order``), so a
-    group over the bound is not searched; the record keeps only the
-    closures."""
+    ``orders`` holds |G| per prime, counted up to the bound
+    (``generators.group_order``), so a group over it is not searched; the
+    record keeps only the closures."""
 
     def __init__(self, family, primes, orders):
         self.primes = tuple(primes)
@@ -130,7 +130,6 @@ HEEGAARD_COLUMNS = _KEY + (("log_h1", FLOAT), ("betti", "%d"),
 LYAPUNOV_COLUMNS = (("exponent_index", "%d"), ("value", FLOAT),
                     ("standard_error", FLOAT))
 PUNCTURED_COLUMNS = (("length", "%d"), ("mean_longest_run", FLOAT))
-SNF_COLUMNS = (("divisor", "%d"),)
 
 
 def render(columns, rows, fmt_kind="csv") -> str:
@@ -297,37 +296,6 @@ def cmd_punctured(cfg):
     return PUNCTURED_COLUMNS, list(result.rows), {"fit_vs_log_length": fit}
 
 
-def read_matrix_file(path: str) -> IntMatrix:
-    """First line: dimension; then rows of whitespace-separated integers."""
-    with open(path) as fh:
-        try:
-            tokens = fh.read().split()
-        except UnicodeDecodeError as exc:
-            raise ConfigError("matrix file %s is not text: %s" % (path, exc))
-    if not tokens:
-        raise ConfigError("matrix file %s is empty" % path)
-    try:
-        n = int(tokens[0])
-        vals = [int(t) for t in tokens[1:]]
-    except ValueError:
-        raise ConfigError("matrix file %s must contain integers" % path)
-    if n < 0:
-        raise ConfigError("matrix file %s: dimension must be >= 0, got %d"
-                          % (path, n))
-    if len(vals) != n * n:
-        raise ConfigError("matrix file %s: expected %d entries, got %d"
-                          % (path, n * n, len(vals)))
-    return IntMatrix(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
-
-
-def cmd_snf(cfg):
-    if "matrix_file" not in cfg:
-        raise ConfigError("snf needs a matrix file")
-    divisors = list(smith_normal_form(
-        read_matrix_file(cfg["matrix_file"])).divisors)
-    return SNF_COLUMNS, [(d,) for d in divisors], {"divisors": divisors}
-
-
 # --- the command table ----------------------------------------------------------
 
 def _ints(text):
@@ -402,8 +370,6 @@ COMMANDS = {
                help="comma-separated word lengths"),
          _flag(("--samples",), "samples", type=int),
          _flag(("--seed",), "seed", type=int))),
-    "snf": Command(
-        cmd_snf, {}, (_flag(("matrix_file",), "matrix_file", nargs="?"),)),
 }
 
 

@@ -23,7 +23,7 @@ over-cap closure is refused in seconds.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 from .intmat import IntMatrix, _unchecked, det, inverse
@@ -164,17 +164,46 @@ def symmetric_closure(fam: GeneratorFamily) -> GeneratorFamily:
         inv for inv in map(inverse, fam.matrices) if inv not in known)))
 
 
+def _sp(g: int):
+    return g * g, range(2, 2 * g + 1, 2)
+
+
+def _sl(n: int):
+    return n * (n - 1) // 2, range(2, n + 1)
+
+
+# each named family: how to build it from its size parameter (genus or n),
+# and the (e, ks) of the order p^e prod_{k in ks} (p^k - 1) of the group
+# it generates mod a prime p (group_order)
+_FAMILIES = {
+    "humphries": (humphries_symplectic, _sp),
+    "hua-reiner": (hua_reiner, _sl),
+    "stanek": (stanek, _sp),
+}
+
+
+def _named(name: str):
+    if name not in _FAMILIES:
+        raise ValueError("unknown family %r" % name)
+    return _FAMILIES[name]
+
+
 def make_family(name: str, param: int) -> GeneratorFamily:
     """Resolve a family by name and its size parameter (genus or n)."""
-    make = {"humphries": humphries_symplectic, "hua-reiner": hua_reiner,
-            "hua_reiner": hua_reiner, "stanek": stanek}.get(name)
-    if make is None:
-        raise ValueError("unknown family %r" % name)
-    return make(param)
+    return _named(name)[0](param)
+
+
+# the largest group G mod p that stats.walk_closure closes; group_order
+# counts no further
+GROUP_ORDER_BOUND = 10 ** 4
 
 
 def group_order(name: str, param: int, p: int) -> int:
-    """The order of the group the named family generates mod the prime p.
+    """The order of the group the named family generates mod the prime p,
+    or, once the order passes ``GROUP_ORDER_BOUND``, a divisor of it past
+    the bound: its factors, each at least 2, are multiplied in turn, so an
+    order of millions of bits costs a few products of small ones.
+
     Humphries' twists generate the mapping class group, which maps onto
     Sp(2g, Z); Stanek's members generate Sp(2n, Z), and Hua-Reiner's
     SL(n, Z).  Reduction mod p maps each onto its group over F_p (Newman,
@@ -185,10 +214,11 @@ def group_order(name: str, param: int, p: int) -> int:
         |SL(n, F_p)| = p^(n(n-1)/2) prod_{i=2..n} (p^i - 1).
 
     Sp(2, F_p) is SL(2, F_p), the group of Stanek n = 1."""
-    if name in ("humphries", "stanek"):
-        return p ** (param * param) * math.prod(
-            p ** (2 * i) - 1 for i in range(1, param + 1))
-    if name in ("hua-reiner", "hua_reiner"):
-        return p ** (param * (param - 1) // 2) * math.prod(
-            p ** i - 1 for i in range(2, param + 1))
-    raise ValueError("unknown family %r" % name)
+    e, ks = _named(name)[1](param)
+    order = 1
+    for factor in itertools.chain(itertools.repeat(p, e),
+                                  (p ** k - 1 for k in ks)):
+        order *= factor
+        if order > GROUP_ORDER_BOUND:
+            break
+    return order

@@ -65,9 +65,6 @@ class IntMatrix:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def transpose(self) -> "IntMatrix":
-        return _unchecked(IntMatrix, rows=tuple(zip(*self.rows)))
-
     def to_lists(self):
         return [list(row) for row in self.rows]
 

@@ -1,6 +1,7 @@
 """Every statistic the experiments report: summaries (count, mean,
-variance) per word length and per Lyapunov exponent, OLS regression, CLT diagnostics, empirical rank tables
-and their total variation, and the exact law of mod-p ranks under a walk.
+variance) per word length and per Lyapunov exponent, OLS regression, CLT
+diagnostics, empirical rank tables and their total variation, and the
+exact law of mod-p ranks under a walk.
 A deviation is squared as ``d * d`` throughout (``** 2`` calls libm's
 ``pow``), so ``summarize`` and ``clt_diagnostics`` agree on a variance.
 
@@ -27,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .generators import GROUP_ORDER_BOUND
 from .homology import _fp_rank
 from .intmat import mod_p
 from .walker import _family_kernels
@@ -134,10 +136,6 @@ def clt_diagnostics(samples) -> CltDiagnostics:
 
 # --- the exact law of the walk mod p ------------------------------------------
 
-# the largest group G whose walk WalkClosure.rank_law evolves a law on
-GROUP_ORDER_BOUND = 10 ** 4
-
-
 @dataclass(frozen=True)
 class WalkClosure:
     """A family's walk mod p on the closure G of its letters, with the
@@ -193,11 +191,13 @@ def walk_closure(family, p: int, order=None):
     breadth-first search, or None once |G| exceeds ``GROUP_ORDER_BOUND``;
     ``mod_p`` refuses a p that is not prime.  An element is the tuple of
     its residues, row by row.  A caller that knows |G| (``order``, from
-    ``generators.group_order`` for a named family) gets None above the
-    bound without a search."""
-    reduced = [mod_p(m, p).rows for m in family.matrices]
+    ``generators.group_order`` for a named family, which stops counting
+    past the bound) gets None above the bound without a search, and with
+    only the first member reduced, so that ``mod_p`` still checks p."""
     if order is not None and order > GROUP_ORDER_BOUND:
+        mod_p(family.matrices[0], p)
         return None
+    reduced = [mod_p(m, p).rows for m in family.matrices]
     first = {g: reduced.index(g) for g in reduced}  # g's first letter
     walk = _family_kernels(family)[1]
     moves = {g: [] for g in first}      # one table per distinct generator

@@ -27,6 +27,10 @@ def symplectic_form(g: int) -> IntMatrix:
               for j in range(2 * g)) for i in range(2 * g)))
 
 
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(zip(*m.rows)))
+
+
 def has_python_int_rows(m: IntMatrix) -> bool:
     """True iff the rows of m are tuples of Python ints (no numpy integer
     and no bool among the entries)."""
@@ -302,7 +306,7 @@ def dense_is_symplectic(m: IntMatrix) -> bool:
     if odd or not g:
         return False
     j = symplectic_form(g)
-    return mat_mul(mat_mul(m.transpose(), j), m) == j
+    return mat_mul(mat_mul(transpose(m), j), m) == j
 
 
 def longest_run_rescan(letters, letter):

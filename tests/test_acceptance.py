@@ -242,8 +242,6 @@ def test_criterion_12_longest_run_scaling():
 
 def test_criterion_13_manifest_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("THREADS", "1")
-    mat = tmp_path / "m.txt"
-    mat.write_text("2\n-14 2\n-20 2\n")
     invocations = [
         ["torsion-stats", "--family", "humphries", "--genus", "2",
          "--lengths", "40:80:40", "--samples", "4", "--seed", "11"],
@@ -257,7 +255,6 @@ def test_criterion_13_manifest_determinism(tmp_path, capsys, monkeypatch):
         ["punctured", "--alphabet", "2", "--lengths", "64,256",
          "--samples", "5", "--seed", "15"],
         ["prescribe", "2,6"],
-        ["snf", str(mat)],
     ]
     ok = True
     details = []

@@ -258,13 +258,13 @@ def test_exact_csv_is_independent_of_threads(tmp_path, capsys, monkeypatch,
     assert csvs[0] == csvs[1]
 
 
-def _hua_reiner_rank_table(tmp_path, capsys, n):
+def _hua_reiner_rank_table(tmp_path, capsys, n, p=2):
     code, out = _run(capsys, [
         "modp-rank", "--family", "hua-reiner", "--genus", str(n),
         "--lengths", "20", "--samples", "5", "--seed", "1",
-        "--primes", "2", "--out", str(tmp_path)])
+        "--primes", str(p), "--out", str(tmp_path)])
     assert code == 0
-    return json.loads(Path(out[1]).read_text())["rank_tables"]["2"]
+    return json.loads(Path(out[1]).read_text())["rank_tables"][str(p)]
 
 
 def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
@@ -277,10 +277,12 @@ def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
 
 
 def test_modp_rank_predicts_nothing_over_the_group_bound(tmp_path, capsys):
-    # SL(4, F_2) has 20160 elements, more than GROUP_ORDER_BOUND
-    table = _hua_reiner_rank_table(tmp_path, capsys, 4)
-    assert table["predicted"] == {}
-    assert "total_variation" not in table
+    # SL(4, F_2) has 20160 elements, more than GROUP_ORDER_BOUND, and
+    # SL(2, F_23) 12144, just more: a bound of 11**4 would predict its law
+    for n, p in ((4, 2), (2, 23)):
+        table = _hua_reiner_rank_table(tmp_path / str(n), capsys, n, p)
+        assert table["predicted"] == {}
+        assert "total_variation" not in table
 
 
 def test_modp_rank_over_the_bound_closes_no_group(tmp_path, capsys,
@@ -405,14 +407,14 @@ def test_punctured_outputs(tmp_path, capsys):
     assert manifest["fit_vs_log_length"]["slope"] > 0
 
 
-def test_snf_outputs(tmp_path, capsys):
-    mat = tmp_path / "m.txt"
-    mat.write_text("2\n2 4\n6 8\n")
-    code, out = _run(capsys, ["snf", str(mat), "--out", str(tmp_path)])
-    assert code == 0
-    assert Path(out[0]).read_text() == "divisor\n2\n4\n"
-    manifest = json.loads(Path(out[1]).read_text())
-    assert manifest["divisors"] == [2, 4]
+def test_snf_is_not_a_subcommand(tmp_path, capsys):
+    # smith_normal_form gives a Smith form to any caller; the CLI runs
+    # only the experiments
+    with pytest.raises(SystemExit) as exc:
+        main(["snf", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'snf'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_json_format_output(tmp_path, capsys):
@@ -446,7 +448,6 @@ def _field(text):
     ["lyapunov", "--steps", "100", "--trials", "2"],
     ["punctured", "--lengths", "64,128", "--samples", "2"],
     ["prescribe", "2,6"],
-    ["snf"],
 ] + BATCH_RUNS + [
     # the last block of a trial is one letter (101) or three (103); g3 is
     # a 6 x 6 frame
@@ -461,10 +462,6 @@ def _field(text):
                   "--samples", "2"], id="punctured-alphabet255"),
 ], ids=lambda argv: argv[0])
 def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
-    if argv == ["snf"]:
-        matrix = tmp_path / "m.txt"
-        matrix.write_text("2\n-14 2\n-20 2\n")
-        argv = argv + [str(matrix)]
     data = {}
     for kind in ("csv", "json"):
         code, out = _run(capsys, argv + ["--format", kind,
@@ -486,7 +483,9 @@ def test_json_records_are_the_csv_rows(tmp_path, capsys, argv):
 # starts with that prefix; a text that starts with the prefix pins the
 # line from its start.  An argv item of bytes is written to a file, and
 # None stands for a file that does not exist; either item becomes the
-# file's path, which the text names where it has {}.
+# file's path, which the text names where it has {}.  A row whose
+# behaviour is gone stays as RETIRED, so every later row keeps its name.
+RETIRED = None
 ERRORS = [
     (["modp-rank", "--primes", "x"], 2, "'x'"),
     (["punctured", "--lengths", "x"], 2, "'x'"),
@@ -528,9 +527,9 @@ ERRORS = [
      "divisors must be nonnegative, got (-1, 2)"),
     (["prescribe", "--config", b'{"chain": [0, 2]}'], 2,
      "zeros must come last, got (0, 2)"),
-    (["snf", b""], 2, "matrix file {} is empty"),
-    (["snf", b"2\n1 x 3 4\n"], 2, "matrix file {} must contain integers"),
-    (["snf", b"2\n1 2 3\n"], 2, "matrix file {}: expected 4 entries, got 3"),
+    RETIRED,
+    RETIRED,
+    RETIRED,
     (["torsion-stats", "--genus", "128"], 2, "humphries family at genus 128"),
     # refused by its member count before any matrix is built
     (["torsion-stats", "--genus", "200"], 2,
@@ -564,24 +563,18 @@ ERRORS = [
      "torsion-stats does not read config key 'sampels'"),
     (["lyapunov", "--config", b'{"mode": "symmetric"}'], 2,
      "lyapunov does not read config key 'mode'"),
-    (["snf", "--config", b'{"matrix_file": "m.txt", "seed": 1}'], 2,
-     "snf does not read config key 'seed'"),
+    RETIRED,
     (["modp-rank", "--config", b'{"primes": []}'], 2,
      "modp-rank needs at least one prime"),
     (["torsion-stats", "--config", b'{"lengths": [1, 2]}'], 2,
      "lengths must be (start, end, step), got (1, 2)"),
     (["heegaard", "--config", b'{"lengths": [1, 2, 3, 4]}'], 2,
      "lengths must be (start, end, step), got (1, 2, 3, 4)"),
-    (["snf", "--config", b'{"matrix_file": null}'], 2,
-     "matrix_file must be a string, got None"),
-    (["snf", "--config", b'{"matrix_file": ["m.txt"]}'], 2,
-     "matrix_file must be a string, got ['m.txt']"),
-    (["snf", "--config", b'{"matrix_file": 3.5}'], 2,
-     "matrix_file must be a string, got 3.5"),
-    (["snf", "--config", b'{"matrix_file": true}'], 2,
-     "matrix_file must be a string, got True"),
-    (["snf", "--config", b'{"matrix_file": 0}'], 2,
-     "matrix_file must be a string, got 0"),
+    RETIRED,
+    RETIRED,
+    RETIRED,
+    RETIRED,
+    RETIRED,
     (["torsion-stats", "--config", b'{"family": 1}'], 2,
      "family must be a string, got 1"),
     (["lyapunov", "--config", b'{"family": null}'], 2,
@@ -599,11 +592,11 @@ ERRORS = [
     (["prescribe"], 2, "prescribe needs a divisor chain"),
     (["prescribe", "--config", b'{"chain": []}'], 2,
      "config error: chain must be nonempty\n"),
-    (["snf", None], 3, "No such file or directory: '{}'"),
-    (["snf", b"\xff"], 2, "config error: matrix file {} is not text: "),
-    (["snf", b"x\n"], 2, "matrix file {} must contain integers"),
-    # n * n == 1 entry: only n is wrong
-    (["snf", b"-1\n5\n"], 2, "matrix file {}: dimension must be >= 0, got -1"),
+    RETIRED,
+    (["modp-rank", "--config", b"\xff"], 2,
+     "config file {} is not valid JSON: 'utf-8' codec can't decode"),
+    RETIRED,
+    RETIRED,
     # 129 members and their 129 distinct inverses: the message names the
     # family, its parameter and the mode
     (["torsion-stats", "--genus", "64", "--mode", "symmetric", "--samples",
@@ -612,14 +605,17 @@ ERRORS = [
      "holds at most 255 members, got 258"),
     (["lyapunov", "--family", "nope"], 2,
      "config error: invalid lyapunov config: unknown family 'nope'\n"),
-    (["snf"], 2, "config error: snf needs a matrix file\n"),
+    # one spelling per family
+    (["torsion-stats", "--family", "hua_reiner"], 2,
+     "config error: invalid batch config: unknown family 'hua_reiner'\n"),
 ]
 PREFIX = {2: "config error:", 3: "i/o error:"}
 
 
 # each row is named by its place in ERRORS and its text
-@pytest.mark.parametrize("argv, code, bad", ERRORS, ids=[
-    "argv%d-%s" % (i, bad) for i, (_, _, bad) in enumerate(ERRORS)])
+@pytest.mark.parametrize("argv, code, bad", [row for row in ERRORS if row],
+                         ids=["argv%d-%s" % (i, row[2])
+                              for i, row in enumerate(ERRORS) if row])
 def test_config_errors_exit_2(tmp_path, capsys, argv, code, bad):
     out = tmp_path / "out"
     args, paths = [], []

@@ -3,10 +3,9 @@
 Each exact subcommand runs at a small fixed config, once per output
 format (``json`` is the list of the CSV records, for every subcommand),
 and the bytes of its data file must hash to the digest recorded here; so
-must its manifest, with the timestamp removed and the ``snf`` matrix file
-reduced to its basename.  Any change to sampling, the exact
-arithmetic, the summaries or the output layout shows up as a changed
-digest.
+must its manifest, with the timestamp removed.  Any change to sampling,
+the exact arithmetic, the summaries or the output layout shows up as a
+changed digest.
 
 Not covered: ``lyapunov`` (its bytes depend on the BLAS and SIMD kernels
 of the numpy build).
@@ -14,13 +13,10 @@ of the numpy build).
 
 import hashlib
 import json
-import os
 
 import pytest
 
 from symwalk.cli import main
-
-MATRIX = "2\n-14 2\n-20 2\n"
 
 CONFIGS = {
     "torsion-stats": ["torsion-stats", "--family", "humphries", "--genus", "2",
@@ -34,7 +30,6 @@ CONFIGS = {
     "punctured": ["punctured", "--alphabet", "2", "--lengths", "64,256",
                   "--samples", "5", "--seed", "15"],
     "prescribe": ["prescribe", "2,6"],
-    "snf": ["snf"],
 }
 
 GOLDEN = {
@@ -54,10 +49,6 @@ GOLDEN = {
         "ad1ab58ab17140fe8ea425d4955f19b571058a8a28c925aae532d7a813719b90",
     ("punctured", "json"):
         "095163e3c39ff5fb34ab0583c689fa62c020ee6ec9eb3c85324780db1ee580b1",
-    ("snf", "csv"):
-        "5f8df1affc9547402782c957a87136cf29c6310867a5fdff9478d63f80081d0c",
-    ("snf", "json"):
-        "8f5302db78c8efb50b6f08a4cf5c7d63e868425034fcbe9b487f241d8ebcc47e",
     ("torsion-stats", "csv"):
         "8de8553656f2a72c83e793f357ade548c5d2867df57624d3f1e13c0623c238c1",
     ("torsion-stats", "json"):
@@ -74,8 +65,6 @@ GOLDEN_MANIFESTS = {
         "e7ec69a9840de4de3548498b8e7f2911dfb5e0c4eb8c8fdcb6416b8a8e551db9",
     "punctured":
         "326416eae3008d1797434a6c304b7ad3ced82a4d610a3ce8ad6fe59dcf7f20ef",
-    "snf":
-        "59c708d2b8ae28fdf374ae5c91e15a1928a056bff6259a52c976d0b93314e0d4",
     "torsion-stats":
         "5b119e90eb5756a0ba55ac1896edc696fed73f7f717537c54e5f74f7aa25ee95",
 }
@@ -84,12 +73,8 @@ GOLDEN_MANIFESTS = {
 def _run(command, kind, tmp_path, capsys, monkeypatch):
     """The paths of the data file and the manifest of ``command``."""
     monkeypatch.setenv("THREADS", "1")
-    argv = list(CONFIGS[command])
-    if command == "snf":
-        matrix = tmp_path / "m.txt"
-        matrix.write_text(MATRIX)
-        argv.append(str(matrix))
-    code = main(argv + ["--format", kind, "--out", str(tmp_path / "out")])
+    code = main(CONFIGS[command] + ["--format", kind,
+                                    "--out", str(tmp_path / "out")])
     paths = capsys.readouterr().out.splitlines()
     assert code == 0
     return paths
@@ -109,9 +94,6 @@ def test_golden_manifest_digest(command, tmp_path, capsys, monkeypatch):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     del manifest["timestamp"]
-    if command == "snf":
-        config = manifest["config"]
-        config["matrix_file"] = os.path.basename(config["matrix_file"])
     text = json.dumps(manifest, indent=2, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_MANIFESTS[command]

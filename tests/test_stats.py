@@ -22,6 +22,8 @@ def test_summarize_basics():
     assert s.count == 3
     assert s.mean == pytest.approx(2.0)
     assert s.variance == pytest.approx(1.0)
+    # the smallest sample with a variance: (1 + 1) / (2 - 1)
+    assert summarize([1.0, 3.0]) == stats.StatSummary(2, 2.0, 2.0)
 
 
 def test_summarize_single_sample_and_empty():
@@ -274,19 +276,39 @@ def test_group_order_is_the_order_the_search_finds():
                     name, param, mode, p)
                 compared += 1
     assert compared == 32
-    assert group_order("hua_reiner", 3, 3) == 5616
+    assert group_order("hua-reiner", 3, 3) == 5616
     with pytest.raises(ValueError, match="unknown family 'nope'"):
         group_order("nope", 2, 2)
+
+
+def test_group_order_stops_counting_past_the_bound():
+    # |SL(254, F_p)| has about 3.9 million bits at p = 2**61 - 1; its first
+    # factor, p, already passes the bound, and at p = 2 its fourteenth
+    # factor of 2 does
+    p = 2 ** 61 - 1
+    assert group_order("hua-reiner", 254, p) == p
+    assert group_order("hua-reiner", 254, 2) == 2 ** 14
+    assert group_order("humphries", 127, p) == p
+    assert 2 ** 13 < stats.GROUP_ORDER_BOUND < 2 ** 14
 
 
 def test_walk_closure_over_a_known_order_does_not_search(monkeypatch):
     def no_walk(fam):
         raise AssertionError("walk compiled")
 
+    reduce, reduced = stats.mod_p, []
+
+    def counting(m, p):
+        reduced.append(m)
+        return reduce(m, p)
+
     monkeypatch.setattr(stats, "_family_kernels", no_walk)
+    monkeypatch.setattr(stats, "mod_p", counting)
     over = stats.GROUP_ORDER_BOUND + 1
     assert walk_closure(hua_reiner(4), 2, over) is None
-    # the letters are still reduced first: mod_p refuses a p not prime
+    assert walk_closure(humphries_symplectic(3), 2, over) is None
+    assert len(reduced) == 2                # one member of each family
+    # the first letter is still reduced: mod_p refuses a p not prime
     with pytest.raises(NotPrimeError, match="^4 is not prime$"):
         walk_closure(hua_reiner(4), 4, over)
     with pytest.raises(AssertionError, match="walk compiled"):

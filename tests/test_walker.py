@@ -15,7 +15,8 @@ from symwalk import walker
 from symwalk.generators import (GeneratorFamily, hru5, hua_reiner,
                                 humphries_symplectic, stanek,
                                 symmetric_closure)
-from symwalk.intmat import IntMatrix, det, identity, mat_mul
+from symwalk.homology import fp_rank, mapping_torus_homology, torsion_order
+from symwalk.intmat import IntMatrix, det, identity, inverse, mat_mul
 from symwalk.walker import (_BLOCK, BatchConfig, BatchError, Word,
                             _family_kernels, _kernels, _pack, _unpack,
                             derive_seed, letters, run_batch, sample_word,
@@ -174,6 +175,30 @@ def test_fast_product_matches_dense(fam):
             fast = word_product(Word(fam, word[:length]))
             assert fast == dense, length
             assert det(fast) == 1
+
+
+@pytest.mark.parametrize("length", [2000, 8000, 32000])
+@pytest.mark.parametrize("fam", [
+    symmetric_closure(humphries_symplectic(2)),
+    symmetric_closure(humphries_symplectic(3)),
+    symmetric_closure(stanek(2)),
+], ids=["humphries2-sym", "humphries3-sym", "stanek2-sym"])
+def test_long_words_stay_exact(fam, length):
+    # the lengths a growth slope needs, far past the re-packing edges that
+    # test_fast_product_matches_dense crosses, checked by two exact
+    # identities instead of a dense product: a word times its reversed
+    # word of inverse letters is I, and a rotated word's product is a
+    # conjugate, with the same invariants
+    word = sample_word(fam, length, derive_seed(8, length, 0))
+    inverse_letter = [fam.matrices.index(inverse(m)) for m in fam.matrices]
+    back = Word(fam, [inverse_letter[a] for a in reversed(word.letters)])
+    assert mat_mul(word.product, back.product) == identity(fam.dim)
+    cut = length // 3
+    turned = Word(fam, word.letters[cut:] + word.letters[:cut]).product
+    assert torsion_order(turned) == torsion_order(word.product)
+    assert (mapping_torus_homology(turned)
+            == mapping_torus_homology(word.product))
+    assert fp_rank(turned, 3) == fp_rank(word.product, 3)
 
 
 @pytest.mark.parametrize("length", [0, 1, _BLOCK])

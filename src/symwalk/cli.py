@@ -97,11 +97,10 @@ def _torsion_record(word):
 
 
 class _ModpRecord:
-    """fp_rank per prime: by a walk on the closure of the family mod p when
-    that group is within GROUP_ORDER_BOUND, else from the exact product.
-    ``orders`` holds |G| per prime, counted up to the bound
-    (``generators.group_order``), so a group over it is not searched; the
-    record keeps only the closures."""
+    """fp_rank per prime: by a walk on the closure G of the family mod p
+    when ``orders`` gives its |G| (``generators.group_order``), else, for
+    a G too large to close (None), from the exact product.  The record
+    keeps only the closures."""
 
     def __init__(self, family, primes, orders):
         self.primes = tuple(primes)

@@ -193,16 +193,16 @@ def make_family(name: str, param: int) -> GeneratorFamily:
     return _named(name)[0](param)
 
 
-# the largest group G mod p that stats.walk_closure closes; group_order
-# counts no further
+# the largest group G mod p that stats.walk_closure closes: group_order
+# names no order above it
 GROUP_ORDER_BOUND = 10 ** 4
 
 
-def group_order(name: str, param: int, p: int) -> int:
+def group_order(name: str, param: int, p: int) -> int | None:
     """The order of the group the named family generates mod the prime p,
-    or, once the order passes ``GROUP_ORDER_BOUND``, a divisor of it past
-    the bound: its factors, each at least 2, are multiplied in turn, so an
-    order of millions of bits costs a few products of small ones.
+    or None once it passes ``GROUP_ORDER_BOUND``: its factors, each at
+    least 2, are multiplied in turn until the product passes the bound, so
+    an order of millions of bits costs a few products of small ones.
 
     Humphries' twists generate the mapping class group, which maps onto
     Sp(2g, Z); Stanek's members generate Sp(2n, Z), and Hua-Reiner's
@@ -220,5 +220,5 @@ def group_order(name: str, param: int, p: int) -> int:
                                   (p ** k - 1 for k in ks)):
         order *= factor
         if order > GROUP_ORDER_BOUND:
-            break
+            return None
     return order

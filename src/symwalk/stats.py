@@ -13,10 +13,11 @@ where its product lands in the closure G of the letters mod p.  One
 ``walk_closure`` per (family, p) serves both sides: its ``rank_law`` is
 the predicted law, evolved on G by one gather per step, and its ``rank``
 walks a sample on G, one table lookup per letter, instead of building the
-exact product.  It reduces the letters through ``mod_p``, the package's
-one check that p is prime, closes G through the ``walker``'s compiled
-walk, one one-letter call per pass and distinct generator, and ranks each
-element of G by ``fp_rank``'s own ``_fp_rank``.
+exact product.  Given |G| by ``generators.group_order``, which alone
+decides whether G is closed, it reduces the letters through ``mod_p``,
+the package's one check that p is prime, closes G through the
+``walker``'s compiled walk, one one-letter call per level and distinct
+generator, and ranks each element of G by ``fp_rank``'s own ``_fp_rank``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .generators import GROUP_ORDER_BOUND
 from .homology import _fp_rank
 from .intmat import mod_p
 from .walker import _family_kernels
@@ -186,15 +186,15 @@ class WalkClosure:
         return {rank: Fraction(c, words) for rank, c in sorted(law.items())}
 
 
-def walk_closure(family, p: int, order=None):
-    """The ``WalkClosure`` of ``family`` mod the prime p, G closed by
-    breadth-first search, or None once |G| exceeds ``GROUP_ORDER_BOUND``;
-    ``mod_p`` refuses a p that is not prime.  An element is the tuple of
-    its residues, row by row.  A caller that knows |G| (``order``, from
-    ``generators.group_order`` for a named family, which stops counting
-    past the bound) gets None above the bound without a search, and with
-    only the first member reduced, so that ``mod_p`` still checks p."""
-    if order is not None and order > GROUP_ORDER_BOUND:
+def walk_closure(family, p: int, order):
+    """The ``WalkClosure`` of ``family`` mod the prime p, whose closure G
+    of ``order`` elements is found by breadth-first search, one level per
+    pass, or None for an ``order`` of None (G too large to close), with
+    only the first member reduced, so that ``mod_p`` still refuses a p
+    that is not prime.  An element is the tuple of its residues, row by
+    row.  A search that passes ``order`` stops after that level, and one
+    that closes other than ``order`` elements raises ``RuntimeError``."""
+    if order is None:
         mod_p(family.matrices[0], p)
         return None
     reduced = [mod_p(m, p).rows for m in family.matrices]
@@ -204,12 +204,8 @@ def walk_closure(family, p: int, order=None):
     n = family.dim
     group = [tuple(int(i == j) for i in range(n) for j in range(n))]
     index, visited = {group[0]: 0}, 0
-    while visited < len(group):         # group grows as it is visited
-        # an element adds at most one new element per distinct generator,
-        # so |G| cannot pass the bound before this many more are visited
-        take = -(-(GROUP_ORDER_BOUND + 1 - len(group)) // len(first))
-        level = np.array(group[visited:visited + take],
-                         dtype=object).reshape(-1, n, n)
+    while visited < len(group) <= order:    # group grows as it is visited
+        level = np.array(group[visited:], dtype=object).reshape(-1, n, n)
         visited += len(level)
         cols = list(level.transpose(2, 0, 1))   # kept columns stay reduced
         images = [np.stack([y if y is x else y % p for x, y in
@@ -220,8 +216,9 @@ def walk_closure(family, p: int, order=None):
                 move.append(index.setdefault(y, len(group)))
                 if move[-1] == len(group):
                     group.append(y)
-            if len(group) > GROUP_ORDER_BOUND:
-                return None
+    if len(group) != order:
+        raise RuntimeError("the letters mod %d close %s%d elements, not %d" % (
+            p, "at least " * (visited < len(group)), len(group), order))
     tables = {g: tuple(move) for g, move in moves.items()}
     ranks = tuple(_fp_rank([list(x[i:i + n]) for i in range(0, n * n, n)], p)
                   for x in group)

@@ -251,27 +251,21 @@ def rank_law_by_enumeration(family, p, length):
     return {rank: Fraction(c, words) for rank, c in sorted(counts.items())}
 
 
-def closure_one_element_at_a_time(family, p, bound, visited=None):
+def closure_one_element_at_a_time(family, p):
     """``(moves, ranks)`` of the walk mod p on the closure G of the
-    letters, numbered as ``stats.walk_closure`` numbers it, or None once
-    |G| exceeds ``bound``.  Breadth first, one element and one distinct
-    generator at a time: each product is ``mod_p(mat_mul(x, g), p)`` and
-    each rank ``fp_rank``.  A list passed as ``visited`` gets the number
-    of elements whose images were taken."""
+    letters, numbered as ``stats.walk_closure`` numbers it.  Breadth
+    first, one element and one distinct generator at a time: each product
+    is ``mod_p(mat_mul(x, g), p)`` and each rank ``fp_rank``."""
     reduced = [mod_p(m, p) for m in family.matrices]
     moves = {g: [] for g in reduced}
     group = [identity(family.dim)]
     index = {group[0]: 0}
-    for count, x in enumerate(group, 1):
+    for x in group:
         for g, move in moves.items():
             y = mod_p(mat_mul(x, g), p)
             move.append(index.setdefault(y, len(group)))
             if move[-1] == len(group):
                 group.append(y)
-        if len(group) > bound:
-            if visited is not None:
-                visited.append(count)
-            return None
     return (tuple(tuple(moves[g]) for g in reduced),
             tuple(fp_rank(x, p) for x in group))
 

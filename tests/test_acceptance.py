@@ -14,7 +14,7 @@ import pytest
 
 from oracles import aperiodic_sl2, aperiodic_sp4, naive_snf, random_int_matrix
 from symwalk.cli import main as cli_main
-from symwalk.generators import humphries_symplectic, stanek
+from symwalk.generators import group_order, humphries_symplectic, stanek
 from symwalk.homology import (DivisorChain, fp_rank, heegaard_homology,
                               mapping_torus_homology, smith_normal_form,
                               torsion_order)
@@ -112,20 +112,21 @@ def test_criterion_05_generic_betti_one():
 
 
 def test_criterion_06_modp_equidistribution():
+    # each with |G|: SL(2, F_p) is SL(2, Z) mod p, Sp(4, F_2) has 720
     cases = [
-        ("SL2/F2", aperiodic_sl2(), 2),
-        ("SL2/F3", aperiodic_sl2(), 3),
-        ("Sp4/F2", aperiodic_sp4(), 2),
+        ("SL2/F2", aperiodic_sl2(), 2, group_order("hua-reiner", 2, 2)),
+        ("SL2/F3", aperiodic_sl2(), 3, group_order("hua-reiner", 2, 3)),
+        ("Sp4/F2", aperiodic_sp4(), 2, 720),
     ]
     details = []
     ok = True
-    for tag, fam, p in cases:
+    for tag, fam, p, order in cases:
         length = 500
         ranks = [fp_rank(sample_word(fam, length,
                                      derive_seed(MASTER_SEED + 3, length, j)
                                      ).product, p)
                  for j in range(2000)]
-        law = walk_closure(fam, p).rank_law(length)
+        law = walk_closure(fam, p, order).rank_law(length)
         tv = total_variation(empirical_rank_table(ranks), law)
         details.append("%s tv=%.4f" % (tag, tv))
         ok = ok and tv <= 0.05

@@ -197,23 +197,17 @@ def test_modp_rank_samples_the_family_its_closures_walk(tmp_path, capsys,
     assert all(family is closed[0] for family in closed + sampled)
 
 
-def _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv):
-    csvs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("THREADS", threads)
-        code, out = _run(capsys, argv + ["--out", str(tmp_path / threads)])
-        assert code == 0
-        csvs.append(Path(out[0]).read_bytes())
-    return csvs
-
-
-def test_modp_rank_csv_is_independent_of_threads(tmp_path, capsys,
-                                                 monkeypatch):
-    # the pickled record carries the closure tables to the pool workers
-    csvs = _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, [
-        "modp-rank", "--lengths", "1:129:64", "--samples", "12",
-        "--primes", "2,3"])
-    assert csvs[0] == csvs[1]
+def test_modp_rank_with_a_wrong_group_order_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    # Sp(4, F_2) has 720 elements: a closure told 719 is a broken
+    # invariant (exit 4), not a config error (exit 2)
+    monkeypatch.setattr("symwalk.cli.group_order", lambda name, param, p: 719)
+    out = tmp_path / "out"
+    assert main(["modp-rank", "--primes", "2", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ("internal error: the letters mod 2 "
+                                       "close at least 720 elements, not "
+                                       "719\n")
+    assert not out.exists()
 
 
 # Batch runs at families, modes and sizes that no other case here runs
@@ -249,12 +243,20 @@ BATCH_RUNS = [
                  id="torsion-stats"),
     pytest.param(["heegaard", "--family", "stanek", "--genus", "2",
                   "--lengths", "1:257:128", "--samples", "6"], id="heegaard"),
+    # the pickled record carries the closure tables to the pool workers
+    pytest.param(["modp-rank", "--lengths", "1:129:64", "--samples", "12",
+                  "--primes", "2,3"], id="modp-rank"),
 ] + BATCH_RUNS)
 def test_exact_csv_is_independent_of_threads(tmp_path, capsys, monkeypatch,
                                              argv):
     # each pool worker compiles its own product kernels from the pickled
     # family
-    csvs = _csv_at_each_thread_count(tmp_path, capsys, monkeypatch, argv)
+    csvs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("THREADS", threads)
+        code, out = _run(capsys, argv + ["--out", str(tmp_path / threads)])
+        assert code == 0
+        csvs.append(Path(out[0]).read_bytes())
     assert csvs[0] == csvs[1]
 
 
@@ -271,7 +273,8 @@ def test_modp_rank_predicts_the_law_of_its_own_walk(tmp_path, capsys):
     # modp-rank walks the symmetric closure of hua-reiner n=3 in SL(3, Z);
     # mod 2 its group is SL(3, F_2)
     table = _hua_reiner_rank_table(tmp_path, capsys, 3)
-    law = walk_closure(symmetric_closure(hua_reiner(3)), 2).rank_law(20)
+    law = walk_closure(symmetric_closure(hua_reiner(3)), 2,
+                       group_order("hua-reiner", 3, 2)).rank_law(20)
     assert table["predicted"] == {str(r): float(q) for r, q in law.items()}
     assert "total_variation" in table
 

@@ -302,13 +302,16 @@ def test_family_holds_at_most_255_members():
 
 
 def test_humphries_size_is_checked_before_any_matrix(monkeypatch):
-    # 2g+1 members at genus 128 is 257: refused before the first _matrix
+    # 2g+1 members at genus 128 is 257: refused before the first _matrix;
+    # genus 127, 255 members, passes the check and builds
     def unbuilt(*args):
         raise AssertionError("a matrix was built")
     monkeypatch.setattr(generators, "_matrix", unbuilt)
-    with pytest.raises(ValueError,
-                       match="humphries family at genus 128 has 257 members"):
+    with pytest.raises(ValueError, match="^humphries family at genus 128 has "
+                       "257 members, more than 255$"):
         make_family("humphries", 128)
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        make_family("humphries", 127)
 
 
 def test_family_rejects_mixed_dims():

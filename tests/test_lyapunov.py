@@ -242,6 +242,15 @@ def test_clt_diagnostics_flags_uniform_tail_shape():
     assert d.ks_statistic_vs_normal > 0.04
 
 
+def test_clt_diagnostics_of_a_skewed_sample():
+    # 3 ones in 30: a Bernoulli(q = 1/10) sample, whose skewness is
+    # (1 - 2q) / sqrt(q(1 - q)) = 8/3 and excess kurtosis
+    # (1 - 6q(1 - q)) / (q(1 - q)) = 46/9
+    d = clt_diagnostics([1.0] * 3 + [0.0] * 27)
+    assert d.skewness == pytest.approx(8 / 3)
+    assert d.excess_kurtosis == pytest.approx(46 / 9)
+
+
 def test_clt_diagnostics_validation():
     with pytest.raises(ValueError):
         clt_diagnostics([1.0] * 10)

@@ -14,6 +14,11 @@ still equal a one-trial-at-a-time loop exactly.  The stack takes s letters
 per matmul from a table of every s-letter product of the members, where s
 is the largest divisor of ``RENORM_EVERY`` whose table holds at most
 ``_TABLE_ENTRIES`` floats: s = 5 for Humphries g2, 2 for g3, 1 for g10.
+Re-orthonormalization copies the stack rows-first, (n, trials, n), so
+that every dot product it takes runs along one frame's contiguous row and
+rounds alike whatever the number of trials; a trials-last layout would
+reduce across the stack, which numpy sums in another order for one trial
+than for many.
 """
 
 from __future__ import annotations
@@ -53,22 +58,30 @@ def _orthonormalize(basis: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt on the rows of each frame of a (trials, n, n)
     stack, in place; returns the (trials, n) row norms, the stretches.
 
-    Row j is normalized, then projected out of every later row by one
-    stacked matmul.  In exact arithmetic this is the QR factorization of
-    each frame's transpose with diag(R) > 0: the rows become the columns
-    of Q and the norms are diag(R).  A row of norm 0 turns NaN, and so do
-    the rows after it."""
+    The stack is copied once into rows-first order (n, trials, n), so row
+    j of every frame is one contiguous (trials, n) block: its norms are
+    one ``np.vecdot``, and so are its coefficients in every later row,
+    which one broadcast multiply-subtract removes; the result is copied
+    back.  Each dot product runs along one frame's row, so a frame rounds
+    alike in a stack of any size.  A trials-last (n, n, trials) layout
+    is faster but reduces over a non-last axis, and numpy rounds a
+    one-trial stack differently there (axis sums from n = 8 on, vecdot
+    from n = 4 on, in numpy 2.4).  In exact arithmetic this is the QR
+    factorization of each frame's transpose with diag(R) > 0: the rows
+    become the columns of Q and the norms are diag(R).  A row of norm 0
+    turns NaN, and so do the rows after it."""
     n = basis.shape[1]
-    stretch = np.empty(basis.shape[:2])
+    rows = basis.transpose(1, 0, 2).copy()
+    stretch = np.empty(rows.shape[:2])
     for j in range(n):
-        row = basis[:, j]
-        norm = np.sqrt(np.einsum("ti,ti->t", row, row))
-        stretch[:, j] = norm
+        row = rows[j]
+        norm = np.sqrt(np.vecdot(row, row), out=stretch[j])
         row /= norm[:, None]
         if j + 1 < n:
-            later = basis[:, j + 1:]
-            later -= (later @ row[:, :, None]) * row[:, None, :]
-    return stretch
+            later = rows[j + 1:]
+            later -= np.vecdot(later, row)[..., None] * row
+    basis[:] = rows.transpose(1, 0, 2)
+    return stretch.T
 
 
 def _letters_per_matmul(k: int, dim: int) -> int:
@@ -127,7 +140,9 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
         idx += rows[:, i:whole:s]
     basis = np.tile(np.eye(dim), (trials, 1, 1))
     logs = np.zeros((trials, dim))
-    collapsed = np.zeros(trials, dtype=bool)
+    # the least stretch of each frame row; fmin keeps a zero past the NaN
+    # rows that follow it
+    low = np.full((trials, dim), np.inf)
     # a collapsed or overflowing frame turns non-finite: named below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         table = _letter_table(gens_t, s)
@@ -141,10 +156,11 @@ def estimate_exponents(family: GeneratorFamily, steps: int, trials: int,
             for column in columns.T:
                 basis = basis @ members[column]
             stretch = _orthonormalize(basis)
-            collapsed |= (stretch < _COLLAPSE).any(axis=1)
+            np.fmin(low, stretch, out=low)
             if b * RENORM_EVERY > BURN_IN:
                 logs += np.log(stretch)
     per_trial = logs / steps
+    collapsed = (low < _COLLAPSE).any(axis=1)
     failed = collapsed | ~np.isfinite(per_trial).all(axis=1)
     if failed.any():
         t = int(np.argmax(failed))

@@ -16,7 +16,8 @@ from symwalk.intmat import IntMatrix, det, identity, mat_mul, mod_p
 from symwalk.lyapunov import (_COLLAPSE, _TABLE_ENTRIES, BURN_IN,
                               RENORM_EVERY, FrameCollapseError,
                               LyapunovEstimate, _orthonormalize)
-from symwalk.walker import Word, derive_seed, letters, word_product
+from symwalk.walker import (Word, derive_seed, letters, sample_word,
+                            word_product)
 
 
 def symplectic_form(g: int) -> IntMatrix:
@@ -344,6 +345,44 @@ def lyapunov_lapack_reference(family, steps, trials, seed):
         if step > 0:
             logs += np.log(stretch)
     return _estimate(logs / steps)
+
+
+def compound_norm_sq(rows, k):
+    """||Lambda^k M||_F^2 of the integer rows of M: by Cauchy-Binet, the
+    sum of the squares of its k x k minors."""
+    n = len(rows)
+    return sum(det(IntMatrix(tuple(tuple(rows[r][c] for c in cols)
+                                   for r in rs))) ** 2
+               for rs in combinations(range(n), k)
+               for cols in combinations(range(n), k))
+
+
+def compound_norm_slopes(family, lengths, words, seed):
+    """For k = 1 and 2, the slope in L of the mean of
+    1/2 log ||Lambda^k M_L||_F^2 (``compound_norm_sq``) over ``words``
+    exact products of each of the two ``lengths``, and its standard
+    error.  By Furstenberg-Kesten (1960) the slope tends to
+    lambda_1 + ... + lambda_k; the difference of the two means cancels
+    the constant term.  Word i of length L is
+    ``sample_word(family, L, derive_seed(seed, L, i))``."""
+    products = {length: [sample_word(family, length,
+                                     derive_seed(seed, length, i)).product.rows
+                         for i in range(words)]
+                for length in lengths}
+    short, long = lengths
+    slopes = []
+    for k in (1, 2):
+        means, variances = [], []
+        for length in lengths:
+            values = [math.log(compound_norm_sq(rows, k)) / 2
+                      for rows in products[length]]
+            mean = math.fsum(values) / words
+            means.append(mean)
+            variances.append(math.fsum((x - mean) * (x - mean)
+                                       for x in values) / (words - 1))
+        slopes.append(((means[1] - means[0]) / (long - short),
+                       math.sqrt(sum(variances) / words) / (long - short)))
+    return slopes
 
 
 def _estimate(per_trial):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import aperiodic_sl2, aperiodic_sp4, naive_snf, random_int_matrix
+from oracles import (aperiodic_sl2, aperiodic_sp4, compound_norm_slopes,
+                     naive_snf, random_int_matrix)
 from symwalk.cli import main as cli_main
 from symwalk.generators import group_order, humphries_symplectic, stanek
 from symwalk.homology import (DivisorChain, fp_rank, heegaard_homology,
@@ -27,6 +28,9 @@ from symwalk.stats import (clt_diagnostics, empirical_rank_table, linear_fit,
 from symwalk.walker import BatchConfig, derive_seed, run_batch, sample_word
 
 MASTER_SEED = 20240817
+# an estimate and an exact slope agree within Z of their combined
+# standard errors
+Z = 3
 
 
 def _report(tag, ok, detail):
@@ -275,3 +279,23 @@ def test_criterion_13_manifest_determinism(tmp_path, capsys, monkeypatch):
         ok = ok and same
         details.append("%s=%s" % (argv[0], "ok" if same else "DIFF"))
     _report("manifest-determinism", ok, " ".join(details))
+
+
+def test_criterion_14_lyapunov_matches_exact_slopes(lyapunov_g2):
+    # the float estimate against exact products: lambda_1 and
+    # lambda_1 + lambda_2 are the slopes of 1/2 log ||Lambda^k M_L||_F^2
+    # for k = 1, 2; the estimate reports no covariance of its trials, so
+    # SE(lambda_1 + lambda_2) is bounded by SE(lambda_1) + SE(lambda_2)
+    exact = compound_norm_slopes(humphries_symplectic(2), (400, 1600), 200,
+                                 MASTER_SEED)
+    ok = True
+    details = []
+    for k, (slope, slope_se) in enumerate(exact, 1):
+        est = math.fsum(lyapunov_g2.exponents[:k])
+        est_se = math.fsum(lyapunov_g2.standard_error[:k])
+        tol = Z * math.hypot(slope_se, est_se)
+        if abs(est - slope) > tol:
+            ok = False
+        details.append("k=%d estimate=%.5f exact=%.5f tol=%.5f"
+                       % (k, est, slope, tol))
+    _report("lyapunov-vs-exact", ok, "; ".join(details))

@@ -148,6 +148,12 @@ def test_orthonormalize_is_the_positive_diagonal_qr(n):
     assert (abs(basis - q.transpose(0, 2, 1)).max(axis=(1, 2)) <= tol).all()
     gram = basis @ basis.transpose(0, 2, 1)
     assert (abs(gram - np.eye(n)).max(axis=(1, 2)) <= tol).all()
+    # a frame run alone rounds as it does in the stack: what lets the
+    # trials evolve together (test_stacked_trials_equal_one_trial_at_a_time)
+    for t, frame in enumerate(frames):
+        alone = frame.T[None].copy()
+        assert (_orthonormalize(alone)[0] == got[t]).all()
+        assert (alone[0] == basis[t]).all()
 
 
 def test_frame_collapse_names_the_trial():
